@@ -72,12 +72,13 @@ inline sim::SimConfig base_sim(const Options& opt, sim::Tech tech,
 inline smr::DeploymentConfig real_kv_config(smr::Mode mode, std::size_t mpl,
                                             std::uint64_t keys,
                                             std::size_t exec_run_length = 16,
-                                            bool coalesce_responses = true) {
+                                            std::size_t reply_cap =
+                                                smr::ReplyCaps{}.max_responses) {
   smr::DeploymentConfig cfg;
   cfg.mode = mode;
   cfg.mpl = mpl;
   cfg.replicas = 2;
-  cfg.coalesce_responses = coalesce_responses;
+  cfg.reply_caps.max_responses = reply_cap;
   cfg.ring.batch_timeout = std::chrono::microseconds(500);
   cfg.ring.skip_interval = std::chrono::microseconds(1500);
   cfg.ring.rto = std::chrono::microseconds(10000);
@@ -106,17 +107,19 @@ inline smr::Mode to_mode(sim::Tech t) {
 /// Runs the real runtime with a workload mix and adapts to RunResult-like
 /// fields of SimResult for uniform printing.  `raw`, when given, receives
 /// the full driver result including the replica-side ExecStats; `spool`
-/// receives the deployment's submit-pipelining counters.
+/// receives the deployment's submit spool counters.  `reply_cap` is the
+/// reply spool's response cap (1: one wire message per reply).
 inline sim::SimResult run_real_kv(const Options& opt, sim::Tech tech,
                                   int workers, const workload::KvMix& mix,
                                   bool zipf = false,
                                   std::size_t exec_run_length = 16,
                                   workload::RunResult* raw = nullptr,
-                                  bool coalesce_responses = true,
+                                  std::size_t reply_cap =
+                                      smr::ReplyCaps{}.max_responses,
                                   smr::SpoolStats* spool = nullptr) {
   auto dcfg = real_kv_config(to_mode(tech), static_cast<std::size_t>(workers),
                              /*keys=*/200'000, exec_run_length,
-                             coalesce_responses);
+                             reply_cap);
   smr::Deployment d(std::move(dcfg));
   d.start();
   workload::KvWorkloadSpec spec;

@@ -17,8 +17,9 @@
 // acceptance number recorded in sim/calibration.h (ExecCalibration).
 //
 // The same flag also measures the response-path record (PR: batched reply
-// coalescing): the full sP-SMR deployment at window 50 with reply
-// coalescing on vs off — Kcps, responses per wire message, flush-reason
+// coalescing): the full sP-SMR deployment at window 50 with the reply
+// spool at its default caps vs a response cap of 1 (every reply its own
+// wire message, on the same code path) — Kcps, responses per wire message, flush-reason
 // counts and latency percentiles — written to BENCH_response.json next to
 // the main JSON and pinned in sim/calibration.h (ResponseCalibration).
 #include <atomic>
@@ -138,7 +139,7 @@ void write_json(const Options& opt) {
   util::allochook::AllocWindow alloc_on;
   run_real_kv(opt, sim::Tech::kSpsmr, 2, workload::KvMix{100, 0, 0, 0},
               /*zipf=*/false, /*exec_run_length=*/16, &real_batched,
-              /*coalesce_responses=*/true, &spool);
+              smr::ReplyCaps{}.max_responses, &spool);
   const double allocs_per_cmd_on =
       real_batched.completed > 0
           ? static_cast<double>(alloc_on.count()) /
@@ -146,13 +147,13 @@ void write_json(const Options& opt) {
           : 0;
 
   // Response-path record: the same batched deployment (window 50) with
-  // reply coalescing forced off.  real_batched is the coalescing-on leg.
-  std::fprintf(stderr, "fig3: measuring response path (coalescing off)...\n");
+  // a reply cap of 1 (no coalescing).  real_batched is the coalescing leg.
+  std::fprintf(stderr, "fig3: measuring response path (reply cap 1)...\n");
   workload::RunResult resp_off;
   util::allochook::AllocWindow alloc_off;
   run_real_kv(opt, sim::Tech::kSpsmr, 2, workload::KvMix{100, 0, 0, 0},
               /*zipf=*/false, /*exec_run_length=*/16, &resp_off,
-              /*coalesce_responses=*/false);
+              /*reply_cap=*/1);
   const double allocs_per_cmd_off =
       resp_off.completed > 0 ? static_cast<double>(alloc_off.count()) /
                                    static_cast<double>(resp_off.completed)

@@ -12,9 +12,10 @@
 //       * "buffer" leg: the seed's per-hop util::Buffer copies (encode,
 //         submit-frame pack, coordinator unpack, batch seal, learner
 //         unpack, command decode) — one or more heap allocations per hop;
-//       * "pooled" leg: the live code path (Command::encode_into a pooled
-//         SUBMIT_MANY frame, subview unpack, paxos::Batch encode/decode,
-//         Command::decode) — zero-copy subviews over recycled pool blocks.
+//       * "pooled" leg: the live code path (Command::encode_into the Bus's
+//         submit spool, the coordinator's frame decode into subviews,
+//         paxos::Batch encode/decode, Command::decode) — zero-copy
+//         subviews over recycled pool blocks.
 //
 //     Heap traffic is counted by the util/alloc_hook operator-new hook
 //     (defined by bench_common.h) and reported as allocs-per-command,
@@ -26,6 +27,7 @@
 #include <functional>
 
 #include "bench_common.h"
+#include "multicast/amcast.h"
 #include "paxos/types.h"
 #include "smr/command.h"
 #include "util/buffer_pool.h"
@@ -40,7 +42,7 @@ using namespace psmr::bench;
 
 namespace {
 
-constexpr std::size_t kSpoolCommands = 64;  // SubmitSpoolerOptions default
+constexpr std::size_t kSpoolCommands = multicast::SubmitCaps{}.max_commands;
 
 util::Buffer make_payload(std::size_t n, double entropy) {
   // entropy in [0,1]: 0 = all zeros, 1 = random bytes.
@@ -125,25 +127,34 @@ std::uint64_t run_pooled_leg(const std::vector<smr::Command>& cmds,
   util::allochook::AllocWindow window;
   std::vector<util::Payload> pending;  // capacity survives iterations
   pending.reserve(kSpoolCommands);
-  for (std::size_t base = 0; base < cmds.size(); base += kSpoolCommands) {
-    std::size_t n = std::min(kSpoolCommands, cmds.size() - base);
-    // Client: marshal straight into one pooled SUBMIT_MANY frame (what
-    // SubmitSpooler::spool does).
-    util::PayloadWriter spool(32 * 1024);
-    spool.u32(static_cast<std::uint32_t>(n));
-    for (std::size_t i = 0; i < n; ++i) {
-      const smr::Command& c = cmds[base + i];
-      spool.u32(static_cast<std::uint32_t>(c.encoded_size()));
-      c.encode_into(spool);
-    }
-    util::Payload frame = spool.take();
+  // Client: the Bus's submit spool at its default caps; its sink hands each
+  // flushed SUBMIT_MANY frame to the coordinator step below.
+  util::Payload frame;
+  bool many = false;
+  multicast::SubmitCoalescer spool(
+      kSpoolCommands, multicast::SubmitCaps{}.max_bytes,
+      multicast::SubmitCoalescer::kNoAgeBound,
+      [&](transport::NodeId, std::size_t, util::Payload message, bool m) {
+        frame = std::move(message);
+        many = m;
+        return true;
+      });
+  for (std::size_t i = 0; i < cmds.size(); ++i) {
+    const smr::Command& c = cmds[i];
+    spool.append(0, 0, c.encoded_size(),
+                 [&c](util::PayloadWriter& w) { c.encode_into(w); },
+                 /*flush=*/i + 1 == cmds.size());
+    if (frame.empty()) continue;
     // Coordinator: pending commands are subviews of the frame.
-    util::Reader fr(frame);
-    std::uint32_t count = fr.u32();
     pending.clear();
-    for (std::uint32_t i = 0; i < count; ++i) {
-      pending.push_back(frame.subview_of(fr.bytes_view()));
+    if (many) {
+      transport::decode_frame(frame, [&](std::span<const std::uint8_t> cmd) {
+        pending.push_back(frame.subview_of(cmd));
+      });
+    } else {
+      pending.push_back(frame);
     }
+    frame = {};
     paxos::Batch batch;
     batch.skip = false;
     batch.commands = std::move(pending);

@@ -102,7 +102,12 @@ void BPlusTree::find_batch(const Key* keys, std::size_t n,
   }
 }
 
-bool BPlusTree::insert(Key k, Value v) {
+// insert() and insert_rec() are the loop that preloads a KvService (ten
+// million inserts at deployment set-up).  They are pinned to cache-line
+// boundaries so that code-size changes elsewhere in the binary cannot move
+// them: a 16-byte shift of this code was measured to swing set-up time by
+// up to a quarter.
+__attribute__((aligned(64))) bool BPlusTree::insert(Key k, Value v) {
   bool inserted = false;
   auto split = insert_rec(root_, k, v, inserted);
   if (split) {
@@ -117,9 +122,8 @@ bool BPlusTree::insert(Key k, Value v) {
   return inserted;
 }
 
-std::optional<BPlusTree::SplitResult> BPlusTree::insert_rec(Node* node, Key k,
-                                                            Value v,
-                                                            bool& inserted) {
+__attribute__((aligned(64))) std::optional<BPlusTree::SplitResult>
+BPlusTree::insert_rec(Node* node, Key k, Value v, bool& inserted) {
   if (node->leaf) {
     auto* leaf = static_cast<Leaf*>(node);
     int pos = leaf_lower_bound(leaf, k);

@@ -5,41 +5,17 @@
 
 namespace psmr::multicast {
 
-bool SubmitCoalescer::submit(transport::NodeId from, util::Payload message) {
-  std::unique_lock lock(mu_);
-  queue_.push_back(std::move(message));
-  if (flushing_) {
-    // An active flusher will pick this command up on its next drain pass;
-    // it rides along in that flusher's SUBMIT_MANY.
-    ++stats_.piggybacked;
-    return true;
-  }
-  flushing_ = true;
-  bool ok = true;
-  // Copied under the lock: the hook runs with the lock released so a
-  // concurrent submit can piggyback while the flusher is paused.
-  const auto pause = flush_pause_;
-  while (!queue_.empty()) {
-    std::vector<util::Payload> burst;
-    burst.swap(queue_);
-    const std::size_t n = burst.size();
-    stats_.flushes += 1;
-    stats_.flushed_commands += n;
-    lock.unlock();
-    bool sent = ring_.submit_many(from, std::move(burst));
-    if (pause) pause();
-    lock.lock();
-    if (!sent) {
-      stats_.failed_flush_commands += n;
-      ok = false;
-    }
-  }
-  flushing_ = false;
-  return ok;
-}
-
 Bus::Bus(transport::Network& net, BusConfig cfg)
-    : net_(net), cfg_(std::move(cfg)) {
+    : net_(net),
+      cfg_(std::move(cfg)),
+      spool_(cfg_.submit_caps.max_commands, cfg_.submit_caps.max_bytes,
+             SubmitCoalescer::kNoAgeBound,
+             [this](transport::NodeId from, std::size_t ring,
+                    util::Payload message, bool many) {
+               paxos::Ring& r = ring_at(ring);
+               return many ? r.submit_many(from, std::move(message))
+                           : r.submit(from, std::move(message));
+             }) {
   const bool merging = cfg_.num_groups > 1;
   paxos::RingConfig ring_cfg = cfg_.ring;
   if (merging && ring_cfg.skip_interval.count() == 0) {
@@ -59,14 +35,6 @@ Bus::Bus(transport::Network& net, BusConfig cfg)
     shared_ring_ = std::make_unique<paxos::Ring>(
         net_, static_cast<paxos::RingId>(cfg_.num_groups), ring_cfg);
   }
-  if (cfg_.coalesce_submits) {
-    for (auto& r : rings_) {
-      coalescers_.push_back(std::make_unique<SubmitCoalescer>(*r));
-    }
-    if (shared_ring_) {
-      coalescers_.push_back(std::make_unique<SubmitCoalescer>(*shared_ring_));
-    }
-  }
 }
 
 void Bus::start() {
@@ -77,32 +45,6 @@ void Bus::start() {
 void Bus::stop() {
   for (auto& r : rings_) r->stop();
   if (shared_ring_) shared_ring_->stop();
-}
-
-bool Bus::submit_to(std::size_t ring_index, transport::NodeId from,
-                    util::Payload message) {
-  if (ring_index < coalescers_.size()) {
-    return coalescers_[ring_index]->submit(from, std::move(message));
-  }
-  return ring_at(ring_index).submit(from, std::move(message));
-}
-
-bool Bus::submit_encoded(std::size_t ring_index, transport::NodeId from,
-                         util::Payload frame, std::size_t count) {
-  return ring_at(ring_index).submit_encoded(from, std::move(frame), count);
-}
-
-bool Bus::multicast(transport::NodeId from, GroupSet groups,
-                    util::Payload message) {
-  if (groups.empty()) return false;
-  if (groups.singleton()) {
-    return submit_to(groups.min(), from, std::move(message));
-  }
-  if (shared_ring_) {
-    return submit_to(rings_.size(), from, std::move(message));
-  }
-  // k == 1 deployments: "all groups" is just group 0.
-  return submit_to(0, from, std::move(message));
 }
 
 std::unique_ptr<MergeDeliverer> Bus::subscribe(GroupId group) {
@@ -159,10 +101,6 @@ paxos::CoordinatorStats Bus::total_stats() const {
   return total;
 }
 
-SubmitCoalescer::Stats Bus::coalesce_stats() const {
-  SubmitCoalescer::Stats total;
-  for (const auto& c : coalescers_) total += c->stats();
-  return total;
-}
+SubmitCoalescer::Stats Bus::coalesce_stats() const { return spool_.stats(); }
 
 }  // namespace psmr::multicast

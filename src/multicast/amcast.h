@@ -23,8 +23,19 @@
 #include "multicast/group.h"
 #include "multicast/merge.h"
 #include "paxos/ring.h"
+#include "transport/frame_spool.h"
 
 namespace psmr::multicast {
+
+/// Caps of the Bus's submit spool (see transport/frame_spool.h).  Caps of
+/// 1 send every command as its own kPaxosSubmit.
+struct SubmitCaps {
+  /// Flush a ring's frame once it holds this many commands.
+  std::size_t max_commands = 64;
+  /// ... or once it reaches this many bytes.  Kept a few batches deep: the
+  /// coordinator re-cuts the burst into max_batch_bytes batches.
+  std::size_t max_bytes = 32 * 1024;
+};
 
 /// Configuration for a bus instance.
 struct BusConfig {
@@ -35,82 +46,14 @@ struct BusConfig {
   /// (num_groups > 1), because deterministic merge needs idle rings to
   /// keep deciding SKIPs.
   paxos::RingConfig ring;
-  /// Submit-side coalescing: concurrent multicasts to the same ring are
-  /// combined into one SUBMIT_MANY wire message (see SubmitCoalescer).
-  /// Matters most for the shared g_all ring, where clients of *all* k
-  /// groups converge — their commands piggyback onto the in-flight submit
-  /// instead of each opening a fresh one.
-  bool coalesce_submits = true;
+  /// Submit spool caps.
+  SubmitCaps submit_caps;
 };
 
-/// Flat-combining submit funnel for one ring.
-///
-/// The first caller into an idle coalescer becomes the flusher: it drains
-/// the queue through Ring::submit_many until empty, while concurrent
-/// callers just append their command and return — the active flusher
-/// carries it on its next flush.  Every command is on the wire before the
-/// flusher's call returns, so no timer thread is needed and nothing can be
-/// stranded.  Under contention this turns n near-simultaneous multicasts
-/// into a handful of multi-command submits, which the coordinator appends
-/// to its open batch as one burst.
-class SubmitCoalescer {
- public:
-  explicit SubmitCoalescer(paxos::Ring& ring) : ring_(ring) {}
-
-  /// Enqueues and (unless piggybacking on an active flusher) flushes.
-  ///
-  /// A piggybacking caller returns true optimistically: its command is
-  /// sent by the active flusher an instant later, and only the flusher
-  /// observes that send's result.  Submission to a ring is fire-and-forget
-  /// over a droppable transport anyway — delivery is recovered end-to-end
-  /// (ClientProxy retransmits on response timeout) — so `true` means
-  /// "accepted for submission", exactly as it does for a send that is then
-  /// dropped in transit.  Flush failures stay observable through
-  /// Stats::failed_flush_commands.
-  bool submit(transport::NodeId from, util::Payload message);
-
-  struct Stats {
-    /// SUBMIT/SUBMIT_MANY wire messages sent.
-    std::uint64_t flushes = 0;
-    /// Commands carried by those messages.
-    std::uint64_t flushed_commands = 0;
-    /// Commands handed to an already-active flusher instead of sending.
-    std::uint64_t piggybacked = 0;
-    /// Commands in flushes the transport rejected (shutdown/disconnect);
-    /// their submitters may have been told true — see submit().
-    std::uint64_t failed_flush_commands = 0;
-
-    Stats& operator+=(const Stats& o) {
-      flushes += o.flushes;
-      flushed_commands += o.flushed_commands;
-      piggybacked += o.piggybacked;
-      failed_flush_commands += o.failed_flush_commands;
-      return *this;
-    }
-  };
-  [[nodiscard]] Stats stats() const {
-    std::lock_guard lock(mu_);
-    return stats_;
-  }
-
-  /// Test hook: invoked by the active flusher after each wire send, while
-  /// the coalescer lock is released.  Lets a test rendezvous a concurrent
-  /// submit with an in-progress flush deterministically (the piggyback race
-  /// is otherwise timing-dependent on single-core hosts).  Set before any
-  /// concurrent submits start; pass {} to clear.
-  void set_flush_pause(std::function<void()> hook) {
-    std::lock_guard lock(mu_);
-    flush_pause_ = std::move(hook);
-  }
-
- private:
-  paxos::Ring& ring_;
-  mutable std::mutex mu_;
-  std::vector<util::Payload> queue_;
-  bool flushing_ = false;
-  Stats stats_;
-  std::function<void()> flush_pause_;
-};
+/// The Bus's submit spool, keyed by ring index: concurrent submitters to
+/// one ring share its open SUBMIT_MANY frame.  Matters most for the shared
+/// g_all ring, where clients of all k groups converge.
+using SubmitCoalescer = transport::FrameSpool<std::size_t>;
 
 /// One atomic-multicast domain shared by clients and replicas.
 class Bus {
@@ -126,29 +69,34 @@ class Bus {
   [[nodiscard]] std::size_t num_groups() const { return cfg_.num_groups; }
   [[nodiscard]] bool has_shared_ring() const { return shared_ring_ != nullptr; }
 
-  /// Multicasts an opaque message to the groups in γ.
+  /// Multicasts an opaque message to the groups in γ: appends it to the
+  /// destination ring's submit frame and flushes that frame at once.
   /// Routing: singleton γ → that group's ring; otherwise the shared ring.
   bool multicast(transport::NodeId from, GroupSet groups,
-                 util::Payload message);
-
-  /// Ring index γ routes to (the index space of submit_encoded): singleton
-  /// γ → that group's ring, otherwise the shared ring when one exists.
-  /// Exposed so the client-side submit spooler can bucket per destination
-  /// ring before encoding.
-  [[nodiscard]] std::size_t ring_index_for(GroupSet groups) const {
-    if (groups.singleton()) return groups.min();
-    return shared_ring_ ? rings_.size() : 0;
-  }
-  /// Number of ring indices (worker rings + shared ring when present).
-  [[nodiscard]] std::size_t num_rings() const {
-    return rings_.size() + (shared_ring_ ? 1 : 0);
+                 std::span<const std::uint8_t> message) {
+    return spool(
+        from, groups, message.size(),
+        [message](util::PayloadWriter& w) { w.raw(message); },
+        /*flush=*/true);
   }
 
-  /// Submits a pre-encoded SUBMIT_MANY frame carrying `count` commands to
-  /// ring `ring_index`, bypassing the per-command coalescer round-trip (the
-  /// spooler already grouped the burst).
-  bool submit_encoded(std::size_t ring_index, transport::NodeId from,
-                      util::Payload frame, std::size_t count);
+  /// Appends one `size`-byte message, marshaled by `encode` straight into
+  /// the destination ring's submit frame (see SubmitCoalescer::append).
+  /// Without `flush` it waits there for a cap or flush_submits().  False
+  /// for an empty γ or when a flush this call drained was rejected.
+  template <typename Encode>
+  bool spool(transport::NodeId from, GroupSet groups, std::size_t size,
+             Encode&& encode, bool flush = false) {
+    if (groups.empty()) return false;
+    return spool_.append(from, ring_index_for(groups), size,
+                         std::forward<Encode>(encode), flush);
+  }
+
+  /// Flushes every ring's open submit frame (a client about to wait for
+  /// replies calls this first, so nothing it waits on stays spooled).
+  bool flush_submits(transport::NodeId from) {
+    return spool_.flush_all(from);
+  }
 
   /// Subscribes worker group g: the returned deliverer merges g's ring with
   /// the shared ring (if any) deterministically.  Every subscriber of the
@@ -180,23 +128,23 @@ class Bus {
   [[nodiscard]] paxos::CoordinatorStats shared_ring_stats() const;
   /// Aggregate over every ring (workers + shared).
   [[nodiscard]] paxos::CoordinatorStats total_stats() const;
-  /// Aggregate submit-coalescing counters (zeros when coalescing is off).
+  /// Submit spool counters.
   [[nodiscard]] SubmitCoalescer::Stats coalesce_stats() const;
 
   /// Test hook: the ring carrying singleton traffic for group g.
   [[nodiscard]] paxos::Ring& group_ring(GroupId g) { return *rings_.at(g); }
   /// Test hook: the shared ring (requires has_shared_ring()).
   [[nodiscard]] paxos::Ring& shared_ring() { return *shared_ring_; }
-  /// Test hook: the shared g_all ring's coalescer (nullptr when coalescing
-  /// is disabled or no shared ring exists).
-  [[nodiscard]] SubmitCoalescer* shared_coalescer() {
-    if (!shared_ring_ || coalescers_.empty()) return nullptr;
-    return coalescers_.back().get();
-  }
+  /// Test hook: the submit spool (flush-pause rendezvous).
+  [[nodiscard]] SubmitCoalescer& submit_spool() { return spool_; }
 
  private:
-  bool submit_to(std::size_t ring_index, transport::NodeId from,
-                 util::Payload message);
+  /// Ring index γ routes to: singleton γ → that group's ring, otherwise the
+  /// shared ring when one exists (k == 1: "all groups" is group 0).
+  [[nodiscard]] std::size_t ring_index_for(GroupSet groups) const {
+    if (groups.singleton()) return groups.min();
+    return shared_ring_ ? rings_.size() : 0;
+  }
   [[nodiscard]] paxos::Ring& ring_at(std::size_t ring_index) {
     return ring_index < rings_.size() ? *rings_[ring_index] : *shared_ring_;
   }
@@ -205,10 +153,7 @@ class Bus {
   BusConfig cfg_;
   std::vector<std::unique_ptr<paxos::Ring>> rings_;
   std::unique_ptr<paxos::Ring> shared_ring_;
-  /// One coalescer per ring, index-aligned with rings_; the shared ring's
-  /// coalescer (when present) is the last entry.  Empty when coalescing is
-  /// disabled.
-  std::vector<std::unique_ptr<SubmitCoalescer>> coalescers_;
+  SubmitCoalescer spool_;
 };
 
 }  // namespace psmr::multicast

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "transport/frame_spool.h"
 #include "util/log.h"
 
 namespace psmr::paxos {
@@ -106,16 +107,20 @@ void Coordinator::on_submit(util::Payload cmd) {
 }
 
 void Coordinator::on_submit_many(const util::Payload& payload) {
-  util::Reader r(payload);
-  std::uint32_t n = r.u32();
+  // Zero-copy: each pending command shares the submit frame's block.  A
+  // malformed frame is rejected whole: nothing enqueued, nothing counted.
+  const std::uint32_t n = transport::decode_frame(
+      payload, [&](std::span<const std::uint8_t> cmd) {
+        enqueue(payload.subview_of(cmd));
+      });
+  if (n == 0) {
+    PSMR_WARN("coordinator " << name() << ": malformed SUBMIT_MANY");
+    return;
+  }
   {
     std::lock_guard lock(stats_mu_);
     ++stats_.submit_msgs;
     stats_.submit_commands += n;
-  }
-  for (std::uint32_t i = 0; i < n; ++i) {
-    // Zero-copy: each pending command shares the submit frame's block.
-    enqueue(payload.subview_of(r.bytes_view()));
   }
   pump_proposals();
 }

@@ -153,7 +153,8 @@ class Coordinator : public transport::Endpoint {
   void begin_prepare();
   void on_submit(util::Payload cmd);
   /// Parses a SUBMIT_MANY frame; each command enqueued is a zero-copy
-  /// subview of the frame's pool block.
+  /// subview of the frame's pool block.  A malformed frame enqueues and
+  /// counts nothing.
   void on_submit_many(const util::Payload& payload);
   void on_promise(transport::NodeId from, util::Reader& r);
   void on_accepted(transport::NodeId from, util::Reader& r);

@@ -54,19 +54,12 @@ class Ring {
   /// Submits one opaque command from node `from` to the current coordinator.
   bool submit(transport::NodeId from, util::Payload command);
 
-  /// Submits several commands in one wire message (SUBMIT_MANY).  The
-  /// coordinator appends them to its open batch in order, so a burst
-  /// coalesced upstream lands in as few consensus instances as the batch
-  /// caps allow instead of trickling in one submit per command.
-  bool submit_many(transport::NodeId from,
-                   std::vector<util::Payload> commands);
-
   /// Submits a pre-encoded SUBMIT_MANY frame (u32 count + count
-  /// length-prefixed commands) carrying `count` commands.  The client-side
-  /// submit spooler encodes commands straight into one pooled frame as they
-  /// arrive, so the flush is a single send with no re-marshalling here.
-  bool submit_encoded(transport::NodeId from, util::Payload frame,
-                      std::size_t count);
+  /// length-prefixed commands; see transport/frame_spool.h).  The
+  /// coordinator appends the commands to its open batch in order, so a
+  /// burst spooled upstream lands in as few consensus instances as the
+  /// batch caps allow.
+  bool submit_many(transport::NodeId from, util::Payload frame);
 
   /// Crash-simulates the current coordinator and promotes a standby with a
   /// strictly higher ballot.  Returns the new coordinator's node id.

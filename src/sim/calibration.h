@@ -162,7 +162,8 @@ struct ExecCalibration {
 /// Host-measured response-path coalescing record (PR 5).  Source:
 /// `bench_fig3 --json` (BENCH_response.json) on the reference container:
 /// the full sP-SMR deployment (2 replicas, mpl 2, 4 clients at window 50,
-/// fig3 read mix, execution batching on) with reply coalescing on vs off.
+/// fig3 read mix, execution batching on) with reply coalescing on vs off
+/// (the off leg now runs the same reply spool with a response cap of 1).
 /// Coalescing bundles each execution batch's replies per destination proxy
 /// into one kSmrResponseMany frame, so the wire carries ~9 responses per
 /// message instead of 1; on the one-core host, where ordering dominates,
@@ -212,8 +213,8 @@ struct AllocCalibration {
   double deployment_spsmr_kcps = 242.8;
   /// CI floor on BENCH_response.json's coalesced_kcps: generous slack under
   /// the measured 1.01x-of-record so shared-runner noise can't flake the
-  /// gate, while a real regression (pooling gone quadratic, spooler
-  /// serializing the bus) still trips it.
+  /// gate, while a real regression (pooling gone quadratic, the submit
+  /// spool serializing the bus) still trips it.
   double min_deployment_ratio_vs_record = 0.5;
 
   /// Hot-path allocation reduction from pooling (measured ~660x).

@@ -7,11 +7,9 @@ namespace psmr::smr {
 
 ClientProxy::ClientProxy(transport::Network& net, multicast::Bus& bus,
                          std::shared_ptr<const CGFunction> cg, ClientId id,
-                         std::shared_ptr<AdmissionController> admission,
-                         SubmitSpooler* spooler)
+                         std::shared_ptr<AdmissionController> admission)
     : net_(net),
       bus_(&bus),
-      spooler_(spooler),
       cg_(std::move(cg)),
       admission_(std::move(admission)),
       id_(id) {
@@ -28,9 +26,11 @@ ClientProxy::ClientProxy(transport::Network& net, transport::NodeId server,
   mailbox_ = std::move(box);
 }
 
-bool ClientProxy::dispatch(const Command& c) {
+bool ClientProxy::dispatch(const Command& c, bool flush) {
   if (bus_ != nullptr) {
-    return bus_->multicast(node_, c.groups, c.encode());
+    return bus_->spool(
+        node_, c.groups, c.encoded_size(),
+        [&c](util::PayloadWriter& w) { c.encode_into(w); }, flush);
   }
   return net_.send(node_, server_, transport::MsgType::kSmrDirect, c.encode());
 }
@@ -64,15 +64,12 @@ std::optional<Seq> ClientProxy::submit(CommandId cmd, util::Buffer params) {
       return seq;
     }
   }
-  // Spooled path: marshal straight into the shared pooled SUBMIT_MANY
-  // frame — no per-command encode, no per-command bus round-trip.  Falls
-  // back to per-command dispatch when spooling is off or in direct mode.
-  // The mailbox check keeps the no-wedge contract under shutdown: a spooled
-  // command's transport rejection only surfaces at flush time, so refuse
-  // up front once our own mailbox (closed by Network::shutdown) is dead.
-  const bool accepted = (spooler_ != nullptr && bus_ != nullptr)
-                            ? (!mailbox_->closed() && spooler_->spool(node_, c))
-                            : dispatch(c);
+  // Marshal straight into the Bus's shared pooled SUBMIT_MANY frame; the
+  // next poll() entry (or a cap) flushes it.  The mailbox check keeps the
+  // no-wedge contract under shutdown: a spooled command's transport
+  // rejection only surfaces at flush time, so refuse up front once our own
+  // mailbox (closed by Network::shutdown) is dead.
+  const bool accepted = !mailbox_->closed() && dispatch(c, /*flush=*/false);
   if (!accepted) return std::nullopt;  // rejected dispatch must not pend
   pending_.emplace(seq, Pending{std::move(c), util::now_us()});
   return seq;
@@ -95,7 +92,7 @@ std::optional<ClientProxy::Completion> ClientProxy::poll(
   // Flush-before-wait: push every spooled command of the deployment out
   // before this client can block on its mailbox, so no one waits on a
   // command still parked in a spool.
-  if (spooler_ != nullptr) spooler_->flush_all(node_);
+  if (bus_ != nullptr) bus_->flush_submits(node_);
   auto deadline = std::chrono::steady_clock::now() + timeout;
   while (true) {
     if (!ready_.empty()) {
@@ -152,7 +149,7 @@ std::optional<util::Buffer> ClientProxy::call(
     if (std::chrono::steady_clock::now() >= next_retry) {
       // Retransmit (e.g., the submission raced a coordinator failover).
       auto it = pending_.find(seq);
-      if (it != pending_.end()) dispatch(it->second.command);
+      if (it != pending_.end()) dispatch(it->second.command, /*flush=*/true);
       next_retry = std::chrono::steady_clock::now() + retry_every;
     }
   }

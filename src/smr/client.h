@@ -25,7 +25,6 @@
 #include "smr/admission.h"
 #include "smr/cg.h"
 #include "smr/command.h"
-#include "smr/submit_spooler.h"
 #include "util/clock.h"
 
 namespace psmr::smr {
@@ -36,16 +35,13 @@ class ClientProxy {
   /// `admission`, when set, is consulted before every dispatch — a shed
   /// command never reaches the bus; it fails fast as a kSmrRejected
   /// completion instead (see admission.h).
-  /// `spooler`, when set, pipelines submissions: submit() marshals the
-  /// command straight into the deployment-shared SubmitSpooler's pooled
-  /// frame instead of a per-command Bus::multicast; poll() flushes every
-  /// spool on entry, before it can block on the mailbox (see
-  /// submit_spooler.h).  Retransmissions bypass the spooler — a retry is
-  /// rare and latency-bound, not throughput-bound.
+  /// submit() marshals the command straight into the Bus's submit spool
+  /// (one open pooled frame per ring, shared by every client of the
+  /// deployment) and returns; poll() flushes every ring's frame on entry,
+  /// before it can block on the mailbox.  A retransmission flushes at once.
   ClientProxy(transport::Network& net, multicast::Bus& bus,
               std::shared_ptr<const CGFunction> cg, ClientId id,
-              std::shared_ptr<AdmissionController> admission = nullptr,
-              SubmitSpooler* spooler = nullptr);
+              std::shared_ptr<AdmissionController> admission = nullptr);
 
   /// Direct-mode proxy: requests go one-to-one to `server`.
   ClientProxy(transport::Network& net, transport::NodeId server, ClientId id);
@@ -66,7 +62,8 @@ class ClientProxy {
   /// Asynchronous submission; the returned seq identifies the completion.
   ///
   /// std::nullopt means the command was NOT accepted into the pipeline: the
-  /// transport rejected the dispatch (shutdown, disconnected peer).  Nothing
+  /// proxy's mailbox is closed (shutdown), or the transport rejected the
+  /// dispatch (a spool flush this submit triggered, or a direct send).  Nothing
   /// pends in that case — a failed submit can never wedge outstanding().
   /// An admission-shed command, by contrast, IS accepted: it completes
   /// through poll() with Completion::rejected set (fail fast, one loopback
@@ -105,14 +102,15 @@ class ClientProxy {
   }
 
  private:
-  bool dispatch(const Command& c);
+  /// Sends `c` (direct mode) or appends it to the Bus's submit spool,
+  /// flushing its ring's frame at once when `flush` is set.
+  bool dispatch(const Command& c, bool flush);
   /// Matches one decoded response against pending_; completions queue in
   /// ready_, duplicates (other replicas) are absorbed silently.
   void absorb(Response resp, bool rejected = false);
 
   transport::Network& net_;
   multicast::Bus* bus_ = nullptr;  // null in direct mode
-  SubmitSpooler* spooler_ = nullptr;  // null: per-command dispatch
   transport::NodeId server_ = transport::kNoNode;
   std::shared_ptr<const CGFunction> cg_;
   std::shared_ptr<AdmissionController> admission_;

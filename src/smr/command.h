@@ -52,9 +52,9 @@ struct Command {
     return 2 + 8 + 8 + 4 + 8 + 4 + params.size();
   }
 
-  /// Appends encode()'s byte sequence into any Writer-shaped sink — the
-  /// submit spooler uses this to marshal commands straight into its pooled
-  /// SUBMIT_MANY frame with no intermediate Buffer.
+  /// Appends encode()'s byte sequence into any Writer-shaped sink — client
+  /// proxies marshal commands straight into the Bus's pooled SUBMIT_MANY
+  /// frame this way, with no intermediate Buffer.
   template <typename W>
   void encode_into(W& w) const {
     w.u16(cmd);
@@ -99,11 +99,24 @@ struct Response {
   Seq seq = 0;
   util::Buffer payload;
 
-  [[nodiscard]] util::Buffer encode() const {
-    util::Writer w;
+  /// Exact size of encode()'s output.
+  [[nodiscard]] std::size_t encoded_size() const {
+    return 8 + 8 + 4 + payload.size();
+  }
+
+  /// Appends encode()'s byte sequence into any Writer-shaped sink — a
+  /// replica's reply spool marshals responses straight into its pooled
+  /// frame this way.
+  template <typename W>
+  void encode_into(W& w) const {
     w.u64(client);
     w.u64(seq);
     w.bytes(payload);
+  }
+
+  [[nodiscard]] util::Buffer encode() const {
+    util::Writer w;
+    encode_into(w);
     return w.take();
   }
 

@@ -37,8 +37,7 @@ class NoRepServer : public transport::Endpoint {
 
   [[nodiscard]] std::uint64_t executed() const { return core_.executed(); }
   [[nodiscard]] const Service& service() const { return core_.service(); }
-  /// Reply-path wire counters of the execution core (the per-command
-  /// kSmrResponse sends of the seed now leave through its coalescer).
+  /// Reply-path wire counters of the execution core's reply spool.
   [[nodiscard]] ResponseStats response_stats() const {
     return core_.response_stats();
   }

@@ -34,7 +34,7 @@ class PsmrReplica::SnapshotServer final : public transport::Endpoint {
 PsmrReplica::PsmrReplica(transport::Network& net, multicast::Bus& bus,
                          std::unique_ptr<Service> service, std::size_t mpl,
                          std::string name, std::size_t run_length,
-                         ResponseCoalescerOptions response_opts,
+                         ReplyCaps reply_caps,
                          CheckpointOptions checkpoint,
                          const SnapshotFrame* restore)
     : net_(net),
@@ -68,8 +68,7 @@ PsmrReplica::PsmrReplica(transport::Network& net, multicast::Bus& bus,
   }
   auto [id, box] = net.register_node();
   reply_node_ = id;  // send-only identity for responses
-  coalescer_ =
-      std::make_unique<ResponseCoalescer>(net_, reply_node_, response_opts);
+  replies_ = make_reply_spool(net_, reply_caps);
   if (ckpt_opts_.enabled) {
     snapshot_server_ = std::make_unique<SnapshotServer>(net_, *this);
   }
@@ -161,16 +160,16 @@ bool PsmrReplica::admit(const Command& cmd, std::size_t worker) {
     resp.client = cmd.client;
     resp.seq = cmd.seq;
     resp.payload = it->second.response;
-    coalescer_->send(cmd.reply_to, resp);
+    spool_reply(*replies_, reply_node_, cmd.reply_to, resp);
     // Replays happen outside an execution run, so no batch boundary is
     // coming to carry them: flush now, or a quiet stream strands the reply.
-    coalescer_->flush_batch();
+    replies_->flush_all(reply_node_);
   }
   return false;  // stale duplicates are dropped silently
 }
 
 /// Updates the dedup cache and spools each response into the replica's
-/// reply coalescer the moment the service hands it over; execute_run
+/// reply spool the moment the service hands it over; execute_run
 /// flushes at the batch boundary.  Responses of one batch may arrive out of
 /// batch order (pipelined read lane), so the cache keeps the max seq per
 /// client.
@@ -191,7 +190,7 @@ class PsmrReplica::WorkerSink final : public ResponseSink {
     resp.client = cmd.client;
     resp.seq = cmd.seq;
     resp.payload = std::move(payload);
-    replica_.coalescer_->send(cmd.reply_to, resp);
+    spool_reply(*replica_.replies_, replica_.reply_node_, cmd.reply_to, resp);
   }
 
  private:
@@ -206,7 +205,7 @@ void PsmrReplica::execute_run(std::vector<Command>& run, std::size_t worker) {
   service_->execute_batch(batch);
   // The executed run is the natural flush unit: its replies leave as one
   // frame per destination proxy before the worker blocks on its stream.
-  coalescer_->flush_batch();
+  replies_->flush_all(reply_node_);
   executed_.fetch_add(run.size(), std::memory_order_relaxed);
   // Periodic checkpoint trigger, counted on worker 0 only (one counter per
   // replica; every replica triggers, and duplicate markers collapse at the

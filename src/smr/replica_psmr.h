@@ -52,7 +52,7 @@
 #include <vector>
 
 #include "multicast/amcast.h"
-#include "smr/response_coalescer.h"
+#include "smr/response_batch.h"
 #include "smr/service.h"
 #include "smr/snapshot.h"
 #include "util/sync.h"
@@ -63,9 +63,9 @@ class PsmrReplica {
  public:
   /// `mpl` worker threads; must equal the C-G function's mpl().
   /// `run_length` bounds the execution batches accumulated per worker
-  /// (1 restores one-command-at-a-time execution).  `response_opts` tunes
-  /// reply coalescing (see response_coalescer.h); the workers share one
-  /// coalescer, so replies from different workers to the same proxy merge.
+  /// (1 restores one-command-at-a-time execution).  `reply_caps` sets the
+  /// reply spool's caps (see response_batch.h); the workers share one
+  /// spool, so replies from different workers to one proxy share a frame.
   /// `checkpoint` enables the snapshot/truncation/recovery machinery;
   /// `restore` (optional) boots the replica from a decoded snapshot frame
   /// instead of from scratch — throws std::runtime_error if the frame does
@@ -73,7 +73,7 @@ class PsmrReplica {
   PsmrReplica(transport::Network& net, multicast::Bus& bus,
               std::unique_ptr<Service> service, std::size_t mpl,
               std::string name = "psmr-replica", std::size_t run_length = 16,
-              ResponseCoalescerOptions response_opts = {},
+              ReplyCaps reply_caps = {},
               CheckpointOptions checkpoint = {},
               const SnapshotFrame* restore = nullptr);
   ~PsmrReplica();
@@ -92,10 +92,8 @@ class PsmrReplica {
 
   /// Reply-path wire counters (messages, responses, flush reasons).
   [[nodiscard]] ResponseStats response_stats() const {
-    return coalescer_->stats();
+    return ResponseStats::of(replies_->stats());
   }
-  /// Test hook: the shared reply coalescer (flush-pause rendezvous).
-  [[nodiscard]] ResponseCoalescer& response_coalescer() { return *coalescer_; }
 
   /// Test hooks: worker w's merged subscription — stream count, and the
   /// number of ring decisions consumed so far from stream s (the shared
@@ -166,7 +164,7 @@ class PsmrReplica {
   std::vector<util::Signal> signals_;  // mpl x mpl matrix
   std::vector<std::thread> workers_;
   transport::NodeId reply_node_ = transport::kNoNode;
-  std::unique_ptr<ResponseCoalescer> coalescer_;
+  std::unique_ptr<ReplySpool> replies_;
 
   // Per-worker duplicate suppression: last executed seq and its response per
   // client.  Deterministic across replicas because each worker's delivery

@@ -39,10 +39,6 @@ class SpsmrReplica {
   [[nodiscard]] ResponseStats response_stats() const {
     return core_.response_stats();
   }
-  /// Test hook: the core's reply coalescer.
-  [[nodiscard]] ResponseCoalescer& response_coalescer() {
-    return core_.response_coalescer();
-  }
 
  private:
   void delivery_loop();

@@ -19,11 +19,9 @@ Deployment::Deployment(DeploymentConfig cfg) : cfg_(std::move(cfg)) {
   }
   if (cfg_.mode == Mode::kSmr) cfg_.mpl = 1;
   if (cfg_.exec_run_length == 0) cfg_.exec_run_length = 1;
-  ResponseCoalescerOptions response_opts;
-  response_opts.enabled = cfg_.coalesce_responses;
   SchedulerOptions sched_opts;
   sched_opts.run_length = cfg_.exec_run_length;
-  sched_opts.responses = response_opts;
+  sched_opts.replies = cfg_.reply_caps;
   // Truncation quorum: with checkpointing on, default to "every replica has
   // acked" so the log never drops a prefix some replica still needs.
   if (cfg_.checkpoint.enabled && cfg_.ring.checkpoint_ackers == 0) {
@@ -37,7 +35,7 @@ Deployment::Deployment(DeploymentConfig cfg) : cfg_(std::move(cfg)) {
       multicast::BusConfig bus_cfg;
       bus_cfg.num_groups = 1;
       bus_cfg.ring = cfg_.ring;
-      bus_cfg.coalesce_submits = cfg_.coalesce_submits;
+      bus_cfg.submit_caps = cfg_.submit_caps;
       bus_ = std::make_unique<multicast::Bus>(net_, bus_cfg);
       client_cg_ = cfg_.cg_factory(1);
       for (std::size_t r = 0; r < cfg_.replicas; ++r) {
@@ -55,7 +53,7 @@ Deployment::Deployment(DeploymentConfig cfg) : cfg_(std::move(cfg)) {
       multicast::BusConfig bus_cfg;
       bus_cfg.num_groups = cfg_.mpl;
       bus_cfg.ring = cfg_.ring;
-      bus_cfg.coalesce_submits = cfg_.coalesce_submits;
+      bus_cfg.submit_caps = cfg_.submit_caps;
       bus_ = std::make_unique<multicast::Bus>(net_, bus_cfg);
       client_cg_ = cfg_.cg_factory(cfg_.mpl);
       for (std::size_t r = 0; r < cfg_.replicas; ++r) {
@@ -83,22 +81,17 @@ Deployment::Deployment(DeploymentConfig cfg) : cfg_(std::move(cfg)) {
     admission_ = std::make_shared<AdmissionController>(
         cfg_.admission, [bus] { return bus->total_stats(); });
   }
-  if (cfg_.pipeline_submits.enabled && bus_) {
-    spooler_ = std::make_unique<SubmitSpooler>(*bus_, cfg_.pipeline_submits);
-  }
 }
 
 std::unique_ptr<PsmrReplica> Deployment::build_psmr_replica(
     std::size_t r, const SnapshotFrame* restore) {
-  ResponseCoalescerOptions response_opts;
-  response_opts.enabled = cfg_.coalesce_responses;
   CheckpointOptions ckpt = cfg_.checkpoint;
   ckpt.replica_id = r;  // stable across restarts: keys the truncation acks
   std::string prefix =
       cfg_.mode == Mode::kSmr ? "smr-replica" : "psmr-replica";
   return std::make_unique<PsmrReplica>(
       net_, *bus_, cfg_.service_factory(), cfg_.mpl,
-      prefix + std::to_string(r), cfg_.exec_run_length, response_opts, ckpt,
+      prefix + std::to_string(r), cfg_.exec_run_length, cfg_.reply_caps, ckpt,
       restore);
 }
 
@@ -216,18 +209,19 @@ bool Deployment::restart_replica(std::size_t i) {
 }
 
 std::unique_ptr<ClientProxy> Deployment::make_client() {
-  ClientId id = next_client_++;
+  const ClientId id = next_client_.fetch_add(1, std::memory_order_relaxed);
   switch (cfg_.mode) {
     case Mode::kSmr:
     case Mode::kSpsmr:
     case Mode::kPsmr:
       return std::make_unique<ClientProxy>(net_, *bus_, client_cg_, id,
-                                           admission_, spooler_.get());
+                                           admission_);
     case Mode::kNoRep:
       return std::make_unique<ClientProxy>(net_, norep_->id(), id);
     case Mode::kLockServer: {
-      auto node = lock_->handler_node(next_handler_);
-      next_handler_ = (next_handler_ + 1) % lock_->num_threads();
+      auto node = lock_->handler_node(
+          next_handler_.fetch_add(1, std::memory_order_relaxed) %
+          lock_->num_threads());
       return std::make_unique<ClientProxy>(net_, node, id);
     }
   }
@@ -300,7 +294,7 @@ AdmissionStats Deployment::admission_stats() const {
 }
 
 SpoolStats Deployment::spool_stats() const {
-  return spooler_ ? spooler_->stats() : SpoolStats{};
+  return bus_ ? bus_->coalesce_stats() : SpoolStats{};
 }
 
 }  // namespace psmr::smr

@@ -13,6 +13,7 @@
 // Tests, benches and examples use this instead of hand-wiring.
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -29,6 +30,9 @@
 namespace psmr::smr {
 
 enum class Mode { kSmr, kSpsmr, kPsmr, kNoRep, kLockServer };
+
+/// Counters of the Bus's submit spool (Deployment::spool_stats).
+using SpoolStats = transport::SpoolStats;
 
 [[nodiscard]] constexpr const char* mode_name(Mode m) {
   switch (m) {
@@ -50,21 +54,16 @@ struct DeploymentConfig {
   std::size_t replicas = 2;
   /// Ring tuning (batching, skips, retransmission).
   paxos::RingConfig ring;
-  /// Submit-side coalescing on the multicast bus (see
-  /// BusConfig::coalesce_submits).  Ignored by unreplicated modes.
-  bool coalesce_submits = true;
-  /// Response-side coalescing: replica workers spool the replies of an
-  /// execution batch per destination proxy and flush them as one
-  /// kSmrResponseMany frame (see response_coalescer.h).  Off restores one
-  /// wire message per reply.  Ignored by the lock server, whose handlers
-  /// reply inline per command.
-  bool coalesce_responses = true;
-  /// Client-side submit pipelining: client proxies of the replicated modes
-  /// share one SubmitSpooler that marshals submissions straight into pooled
-  /// per-ring SUBMIT_MANY frames and flushes them as bursts (see
-  /// submit_spooler.h).  `pipeline_submits.enabled = false` restores one
-  /// Bus::multicast per command.  Ignored by unreplicated modes.
-  SubmitSpoolerOptions pipeline_submits;
+  /// Caps of the Bus's submit spool: client proxies of the replicated modes
+  /// marshal commands straight into pooled per-ring SUBMIT_MANY frames that
+  /// flush as bursts (see transport/frame_spool.h).  Caps of 1 send one
+  /// kPaxosSubmit per command.  Ignored by unreplicated modes.
+  multicast::SubmitCaps submit_caps;
+  /// Caps of each replica's reply spool: workers marshal the replies of an
+  /// execution batch into one frame per destination proxy (see
+  /// response_batch.h).  Caps of 1 send one kSmrResponse per reply.
+  /// Ignored by the lock server, whose handlers reply inline per command.
+  ReplyCaps reply_caps;
   /// Replica-side execution batching: maximum run of consecutive
   /// independent commands handed to the service as one execute_batch call
   /// (see service.h's batch contract).  1 restores one-command-at-a-time
@@ -107,8 +106,11 @@ class Deployment {
   void start();
   void stop();
 
-  /// Creates a client proxy bound to this deployment (thread-compatible:
-  /// each client belongs to one driver thread).
+  /// Creates a client proxy bound to this deployment.  Thread-safe: driver
+  /// threads may create their clients concurrently, and every client gets
+  /// a distinct id (replicas deduplicate per client id, so two proxies
+  /// sharing one would drop each other's commands as stale).  Each client
+  /// itself belongs to one driver thread.
   std::unique_ptr<ClientProxy> make_client();
 
   [[nodiscard]] Mode mode() const { return cfg_.mode; }
@@ -135,12 +137,9 @@ class Deployment {
   /// Aggregate response_stats over every replica.
   [[nodiscard]] ResponseStats response_stats() const;
 
-  /// Submit-pipelining counters of the shared spooler (zeros when
-  /// pipelining is disabled or the mode is unreplicated).
-  [[nodiscard]] SpoolStats spool_stats() const;
-  /// The shared spooler (nullptr when pipelining is disabled or the mode is
+  /// Counters of the Bus's submit spool (zeros when the mode is
   /// unreplicated).
-  [[nodiscard]] SubmitSpooler* spooler() { return spooler_.get(); }
+  [[nodiscard]] SpoolStats spool_stats() const;
 
   /// Admission counters (zeros when admission is disabled or the mode is
   /// unreplicated).
@@ -205,7 +204,6 @@ class Deployment {
   std::unique_ptr<multicast::Bus> bus_;
   std::shared_ptr<const CGFunction> client_cg_;
   std::shared_ptr<AdmissionController> admission_;
-  std::unique_ptr<SubmitSpooler> spooler_;
 
   /// Guards the psmr_ slot pointers, which crash_replica/restart_replica
   /// swap while monitor threads read the per-replica accessors.
@@ -216,8 +214,8 @@ class Deployment {
   std::unique_ptr<LockServer> lock_;
   std::shared_ptr<Service> lock_service_;
 
-  ClientId next_client_ = 1;
-  std::size_t next_handler_ = 0;
+  std::atomic<ClientId> next_client_{1};
+  std::atomic<std::size_t> next_handler_{0};
   bool started_ = false;
 };
 

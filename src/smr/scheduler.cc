@@ -6,13 +6,14 @@ namespace psmr::smr {
 
 namespace {
 
-/// Spools each response into the reply coalescer as soon as the service
-/// hands it over; execute_run flushes at the batch boundary, so a batch's
-/// replies to the same proxy leave as one wire frame.
+/// Spools each response into the reply spool as soon as the service hands
+/// it over; execute_run flushes at the batch boundary, so a batch's replies
+/// to the same proxy leave as one wire frame.
 class ReplySink final : public ResponseSink {
  public:
-  ReplySink(ResponseCoalescer& coalescer, std::span<const Command> cmds)
-      : coalescer_(coalescer), cmds_(cmds) {}
+  ReplySink(ReplySpool& spool, transport::NodeId from,
+            std::span<const Command> cmds)
+      : spool_(spool), from_(from), cmds_(cmds) {}
 
   void accept(std::size_t index, util::Buffer payload) override {
     const Command& cmd = cmds_[index];
@@ -20,11 +21,12 @@ class ReplySink final : public ResponseSink {
     resp.client = cmd.client;
     resp.seq = cmd.seq;
     resp.payload = std::move(payload);
-    coalescer_.send(cmd.reply_to, resp);
+    spool_reply(spool_, from_, cmd.reply_to, resp);
   }
 
  private:
-  ResponseCoalescer& coalescer_;
+  ReplySpool& spool_;
+  const transport::NodeId from_;
   std::span<const Command> cmds_;
 };
 
@@ -52,8 +54,7 @@ SchedulerCore::SchedulerCore(transport::Network& net,
   }
   auto [id, box] = net.register_node();
   reply_node_ = id;
-  coalescer_ =
-      std::make_unique<ResponseCoalescer>(net_, reply_node_, opts_.responses);
+  replies_ = make_reply_spool(net_, opts_.replies);
 }
 
 SchedulerCore::~SchedulerCore() { stop(); }
@@ -122,12 +123,12 @@ void SchedulerCore::drain() {
 }
 
 void SchedulerCore::execute_run(std::vector<Command>& run) {
-  ReplySink sink(*coalescer_, run);
+  ReplySink sink(*replies_, reply_node_, run);
   CommandBatch batch{std::span<const Command>(run), &sink};
   service_->execute_batch(batch);
   // Batch boundary: the run's replies go on the wire before this worker
   // reports idle, so drain() never completes with responses still spooled.
-  coalescer_->flush_batch();
+  replies_->flush_all(reply_node_);
   executed_.fetch_add(run.size(), std::memory_order_relaxed);
   {
     std::lock_guard lock(idle_mu_);

@@ -33,7 +33,7 @@
 #include <vector>
 
 #include "smr/cg.h"
-#include "smr/response_coalescer.h"
+#include "smr/response_batch.h"
 #include "smr/service.h"
 #include "transport/network.h"
 #include "util/queue.h"
@@ -50,9 +50,9 @@ struct SchedulerOptions {
   /// in practice: proxies retransmit within their response timeout, orders
   /// of magnitude sooner than any realistic window.
   std::uint64_t dedup_idle_window = 1 << 16;
-  /// Reply coalescing (see response_coalescer.h); shared by all workers, so
-  /// replies from different workers to the same proxy merge into one frame.
-  ResponseCoalescerOptions responses;
+  /// Reply spool caps (see response_batch.h); the spool is shared by all
+  /// workers, so replies from different workers to one proxy share a frame.
+  ReplyCaps replies;
 };
 
 class SchedulerCore {
@@ -79,10 +79,8 @@ class SchedulerCore {
   [[nodiscard]] std::size_t dedup_size() const { return dedup_.size(); }
   /// Reply-path wire counters (messages, responses, flush reasons).
   [[nodiscard]] ResponseStats response_stats() const {
-    return coalescer_->stats();
+    return ResponseStats::of(replies_->stats());
   }
-  /// Test hook: the shared reply coalescer (flush-pause rendezvous).
-  [[nodiscard]] ResponseCoalescer& response_coalescer() { return *coalescer_; }
 
  private:
   void worker_loop(std::size_t i);
@@ -104,7 +102,7 @@ class SchedulerCore {
   std::vector<std::unique_ptr<WorkerSlot>> slots_;
   std::vector<std::thread> workers_;
   transport::NodeId reply_node_ = transport::kNoNode;
-  std::unique_ptr<ResponseCoalescer> coalescer_;
+  std::unique_ptr<ReplySpool> replies_;
 
   std::mutex idle_mu_;
   std::condition_variable idle_cv_;

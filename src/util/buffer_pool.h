@@ -280,6 +280,8 @@ class Payload {
 /// size optimistically.
 class PayloadWriter {
  public:
+  /// A writer without a block; the first write acquires one.
+  PayloadWriter() : pool_(&BufferPool::global()) {}
   explicit PayloadWriter(std::size_t capacity,
                          BufferPool& pool = BufferPool::global())
       : pool_(&pool), buf_(pool.acquire(capacity)) {}
@@ -311,8 +313,8 @@ class PayloadWriter {
     size_ += data.size();
   }
 
-  /// Overwrites a previously written u32 in place (e.g. a count patched at
-  /// flush time by the submit spooler).
+  /// Overwrites a previously written u32 in place (e.g. a frame's entry
+  /// count, patched when a frame spool closes the frame).
   void patch_u32(std::size_t offset, std::uint32_t v) {
     assert(offset + 4 <= size_);
     std::uint8_t* p = buf_.data() + offset;

@@ -1,20 +1,20 @@
 // Batching-focused unit suite: seal triggers (byte cap, command cap,
 // timeout), the adaptive-timeout controller's grow/shrink behavior and
-// bounds, SUBMIT_MANY wire coalescing, and the Bus submit coalescer.
+// bounds, SUBMIT_MANY framing and its hostile-frame rejection, the Bus's
+// submit spool, and the frame spool's flush-pause rendezvous on the
+// submit direction (the reply direction runs it in response_batching_test).
 //
-// Everything here asserts on CoordinatorStats / SubmitCoalescer::Stats
-// rather than throughput, so the tests stay meaningful on a loaded host.
+// Everything here asserts on CoordinatorStats / SpoolStats rather than
+// throughput, so the tests stay meaningful on a loaded host.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
-#include <thread>
 
 #include "multicast/amcast.h"
 #include "paxos/ring.h"
 #include "test_support.h"
+#include "transport/frame_spool.h"
 #include "transport/network.h"
-#include "util/sync.h"
 
 namespace psmr::paxos {
 namespace {
@@ -235,6 +235,14 @@ TEST(AdaptiveBatching, StartingTimeoutClampedIntoBounds) {
   EXPECT_EQ(ring.stats().batch_timeout_us, 300u);
 }
 
+/// A SUBMIT_MANY frame: u32 count + count length-prefixed commands.
+util::Payload frame_of(std::uint64_t first, std::uint64_t count) {
+  util::PayloadWriter w(64);
+  w.u32(static_cast<std::uint32_t>(count));
+  for (std::uint64_t i = first; i < first + count; ++i) w.bytes(cmd(i));
+  return w.take();
+}
+
 TEST(SubmitMany, BurstArrivesInOneMessage) {
   Network net;
   Ring ring(net, 0, quiet_ring());
@@ -242,9 +250,7 @@ TEST(SubmitMany, BurstArrivesInOneMessage) {
   ring.start();
   auto [me, mybox] = net.register_node();
 
-  std::vector<util::Payload> burst;
-  for (std::uint64_t i = 0; i < 10; ++i) burst.push_back(cmd(i));
-  ASSERT_TRUE(ring.submit_many(me, std::move(burst)));
+  ASSERT_TRUE(ring.submit_many(me, frame_of(0, 10)));
   drain_ordered(*learner, 10);
 
   auto s = ring.stats();
@@ -253,16 +259,29 @@ TEST(SubmitMany, BurstArrivesInOneMessage) {
 }
 
 TEST(SubmitMany, SingleCommandFallsBackToPlainSubmit) {
+  // A one-entry spool flush leaves with the plain kPaxosSubmit framing: the
+  // entry alone, no count or length prefix.
   Network net;
   Ring ring(net, 0, quiet_ring());
   auto learner = ring.subscribe();
   ring.start();
   auto [me, mybox] = net.register_node();
 
-  std::vector<util::Payload> one;
-  one.push_back(cmd(0));
-  ASSERT_TRUE(ring.submit_many(me, std::move(one)));
-  EXPECT_TRUE(ring.submit_many(me, {}));  // empty burst is a no-op
+  std::vector<bool> many_flags;
+  transport::FrameSpool<int> spool(
+      64, 32 * 1024, transport::FrameSpool<int>::kNoAgeBound,
+      [&](transport::NodeId from, int, util::Payload message, bool many) {
+        many_flags.push_back(many);
+        EXPECT_EQ(message, cmd(0));
+        return many ? ring.submit_many(from, std::move(message))
+                    : ring.submit(from, std::move(message));
+      });
+  const util::Buffer one = cmd(0);
+  ASSERT_TRUE(spool.append(me, 0, one.size(),
+                           [&](util::PayloadWriter& w) { w.raw(one); }));
+  ASSERT_TRUE(spool.flush_all(me));
+  EXPECT_TRUE(spool.flush_all(me));  // nothing spooled: a no-op
+  EXPECT_EQ(many_flags, std::vector<bool>{false});
   drain_ordered(*learner, 1);
 
   auto s = ring.stats();
@@ -279,9 +298,7 @@ TEST(SubmitMany, BurstRespectsBatchCapsMidMessage) {
   ring.start();
   auto [me, mybox] = net.register_node();
 
-  std::vector<util::Payload> burst;
-  for (std::uint64_t i = 0; i < 10; ++i) burst.push_back(cmd(i));
-  ASSERT_TRUE(ring.submit_many(me, std::move(burst)));
+  ASSERT_TRUE(ring.submit_many(me, frame_of(0, 10)));
   drain_ordered(*learner, 10);
 
   auto s = ring.stats();
@@ -289,6 +306,60 @@ TEST(SubmitMany, BurstRespectsBatchCapsMidMessage) {
   // the trailing 2 sealed by the (long) timeout.
   EXPECT_EQ(s.sealed_on_count, 2u);
   EXPECT_EQ(s.sealed_commands, 10u);
+}
+
+TEST(SubmitMany, HostileFrameIsRejectedWhole) {
+  // Malformed SUBMIT_MANY frames sent straight to the coordinator must
+  // enqueue and count nothing — in particular a truncated frame must not
+  // enqueue its leading commands.  The one valid command sent afterwards is
+  // the first (and only) thing the ring decides.
+  Network net;
+  Ring ring(net, 0, quiet_ring());
+  auto learner = ring.subscribe();
+  ring.start();
+  auto [me, mybox] = net.register_node();
+
+  std::vector<util::Buffer> hostile;
+  {
+    util::Writer w;  // zero count
+    w.u32(0);
+    hostile.push_back(w.take());
+  }
+  {
+    util::Writer w;  // count above the hard cap
+    w.u32(transport::kMaxFrameEntries + 1);
+    for (int i = 0; i < 8; ++i) w.bytes(cmd(100 + i));
+    hostile.push_back(w.take());
+  }
+  {
+    util::Writer w;  // count beyond what the bytes could hold
+    w.u32(1000);
+    w.bytes(cmd(100));
+    hostile.push_back(w.take());
+  }
+  {
+    // Truncated: three commands announced, two whole ones present, the
+    // third cut mid-body.
+    util::Payload full = frame_of(100, 3);
+    hostile.push_back(util::Buffer(full.begin(), full.end() - 3));
+  }
+  {
+    util::Payload full = frame_of(100, 2);  // trailing bytes
+    util::Buffer b(full.begin(), full.end());
+    b.push_back(0);
+    hostile.push_back(std::move(b));
+  }
+  for (auto& frame : hostile) {
+    ASSERT_TRUE(net.send(me, ring.coordinator(),
+                         transport::MsgType::kPaxosSubmitMany, frame));
+  }
+  ASSERT_TRUE(ring.submit(me, cmd(0)));
+  drain_ordered(*learner, 1);  // decides command 0 first, and only it
+
+  auto s = ring.stats();
+  EXPECT_EQ(s.submit_msgs, 1u);
+  EXPECT_EQ(s.submit_commands, 1u);
+  EXPECT_EQ(s.sealed_commands, 1u);
 }
 
 }  // namespace
@@ -331,10 +402,12 @@ TEST(Coalescer, SingleThreadFlushesEverySubmit) {
 }
 
 TEST(Coalescer, DisabledBusSubmitsDirectly) {
+  // Submit caps of 1: a spooled command flushes on append, one wire
+  // message each, with no poll-entry flush needed.
   Network net;
   BusConfig cfg;
   cfg.num_groups = 1;
-  cfg.coalesce_submits = false;
+  cfg.submit_caps.max_commands = 1;
   cfg.ring.batch_timeout = std::chrono::microseconds(200);
   Bus bus(net, cfg);
   auto sub = bus.subscribe(0);
@@ -342,25 +415,25 @@ TEST(Coalescer, DisabledBusSubmitsDirectly) {
   auto [me, mybox] = net.register_node();
 
   for (std::uint64_t i = 0; i < 10; ++i) {
-    ASSERT_TRUE(bus.multicast(me, GroupSet::single(0), msg(i)));
+    const util::Buffer m = msg(i);
+    ASSERT_TRUE(bus.spool(me, GroupSet::single(0), m.size(),
+                          [&m](util::PayloadWriter& w) { w.raw(m); }));
   }
   for (std::uint64_t i = 0; i < 10; ++i) {
     auto d = sub->next();
     ASSERT_TRUE(d.has_value());
   }
   auto cs = bus.coalesce_stats();
-  EXPECT_EQ(cs.flushes, 0u);
-  EXPECT_EQ(cs.flushed_commands, 0u);
+  EXPECT_EQ(cs.flushes, 10u);
+  EXPECT_EQ(cs.flush_on_count, 10u);
+  EXPECT_EQ(cs.flushed_commands, 10u);
+  EXPECT_EQ(bus.total_stats().submit_msgs, 10u);
 }
 
 TEST(Coalescer, ConcurrentSharedRingSubmitsPiggyback) {
-  // Deterministic rendezvous instead of timing: thread A's submit to the
-  // shared g_all ring becomes the active flusher; the flush-pause hook
-  // (which runs while A holds flushing_ but not the lock) wakes the main
-  // thread, whose submit must take the piggyback path; only then is A
-  // released to drain the piggybacked command in a second flush wave.
-  // This pins the exact interleaving the flat-combining funnel exists for,
-  // on any host, in one round.
+  // Submit direction: two multicasts to the shared g_all ring meet in the
+  // Bus's one submit spool.  The same rendezvous runs on the reply spool in
+  // ResponseCoalescer.FlushPauseRendezvousCarriesConcurrentSpool.
   Network net;
   BusConfig cfg;
   cfg.num_groups = 2;
@@ -369,54 +442,18 @@ TEST(Coalescer, ConcurrentSharedRingSubmitsPiggyback) {
   Bus bus(net, cfg);
   auto sub = bus.subscribe(0);
   bus.start();
-  auto* coalescer = bus.shared_coalescer();
-  ASSERT_NE(coalescer, nullptr);
-
-  util::Signal flusher_paused;
-  util::Signal piggyback_done;
-  std::atomic<int> waves{0};
-  coalescer->set_flush_pause([&] {
-    // Pause only the first wave; the drain wave for the piggybacked
-    // command must run through.
-    if (waves.fetch_add(1) == 0) {
-      flusher_paused.notify();
-      piggyback_done.wait();
-    }
-  });
-
   auto [a_node, a_box] = net.register_node();
-  std::thread flusher([&] {
-    EXPECT_TRUE(bus.multicast(a_node, GroupSet::all(2), msg(1)));
-  });
-  // Bounded wait so a broken flusher fails the test instead of deadlocking
-  // it against the suite timeout.
-  if (!flusher_paused.wait_for(std::chrono::seconds(5))) {
-    piggyback_done.notify();  // unblock the hook if it fires late
-    flusher.join();
-    FAIL() << "flusher never reached the flush-pause rendezvous";
-  }
-  // The flusher is parked mid-flush: this submit piggybacks by construction.
   auto [b_node, b_box] = net.register_node();
-  ASSERT_TRUE(bus.multicast(b_node, GroupSet::all(2), msg(2)));
-  EXPECT_EQ(coalescer->stats().piggybacked, 1u);
-  piggyback_done.notify();
-  flusher.join();
-  coalescer->set_flush_pause({});
-
+  test_support::flush_pause_rendezvous(
+      bus.submit_spool(),
+      [&] { EXPECT_TRUE(bus.multicast(a_node, GroupSet::all(2), msg(1))); },
+      [&] { ASSERT_TRUE(bus.multicast(b_node, GroupSet::all(2), msg(2))); });
   // Both commands reach every subscriber of the shared ring.
   for (int i = 0; i < 2; ++i) {
     auto d = sub->next();
     ASSERT_TRUE(d.has_value());
   }
-
-  auto cs = bus.coalesce_stats();
-  EXPECT_EQ(cs.piggybacked, 1u);
-  EXPECT_EQ(cs.flushed_commands, 2u);
-  // Both wire messages came from the flusher thread — the piggybacked
-  // submit returned without ever touching the ring.
-  EXPECT_EQ(cs.flushes, 2u);
-  auto shared = bus.shared_ring_stats();
-  EXPECT_EQ(shared.submit_commands, 2u);
+  EXPECT_EQ(bus.shared_ring_stats().submit_commands, 2u);
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 // Unit and stress coverage for the zero-copy pooled message buffers
-// (util/buffer_pool.h) and the client-side submit spooler
-// (smr/submit_spooler.h): refcount/recycle invariants, size-class and
-// free-list bounds, PayloadWriter wire-compatibility with util::Writer,
-// steady-state allocation-freedom (via the util/alloc_hook counting
-// allocator test_support defines), a concurrent acquire–share–release
-// stress with digest-vs-oracle checking, a seeded interleaving fuzz, and
-// spooler flush-trigger/ordering/failure semantics over a real Bus.
+// (util/buffer_pool.h) and the submit direction of the frame spool
+// (transport/frame_spool.h, owned by the multicast Bus): refcount/recycle
+// invariants, size-class and free-list bounds, PayloadWriter
+// wire-compatibility with util::Writer, steady-state allocation-freedom
+// (via the util/alloc_hook counting allocator test_support defines), a
+// concurrent acquire–share–release stress with digest-vs-oracle checking,
+// a seeded interleaving fuzz, and submit-spool flush-trigger/ordering/
+// failure/footprint semantics over a real Bus.
 #include "util/buffer_pool.h"
 
 #include <gtest/gtest.h>
@@ -18,7 +19,8 @@
 
 #include "multicast/amcast.h"
 #include "smr/command.h"
-#include "smr/submit_spooler.h"
+#include "smr/runtime.h"
+#include "transport/frame_spool.h"
 #include "test_support.h"
 #include "transport/network.h"
 #include "util/alloc_hook.h"
@@ -331,7 +333,8 @@ TEST(BufferPoolStress, SeededShareReleaseFuzz) {
 }  // namespace psmr::util
 
 // ---------------------------------------------------------------------------
-// SubmitSpooler: flush triggers, per-ring bucketing, ordering, failure.
+// The Bus's submit spool: flush triggers, per-ring frames, ordering,
+// failure, pool footprint.
 // ---------------------------------------------------------------------------
 
 namespace psmr::smr {
@@ -365,6 +368,12 @@ Command cmd(std::uint64_t seq, GroupSet groups,
   return c;
 }
 
+/// What ClientProxy::submit does: marshal into the ring's open frame.
+bool spool(Bus& bus, transport::NodeId from, const Command& c) {
+  return bus.spool(from, c.groups, c.encoded_size(),
+                   [&c](util::PayloadWriter& w) { c.encode_into(w); });
+}
+
 std::vector<std::uint64_t> drain_seqs(multicast::MergeDeliverer& d,
                                       std::size_t count) {
   std::vector<std::uint64_t> out;
@@ -379,18 +388,17 @@ std::vector<std::uint64_t> drain_seqs(multicast::MergeDeliverer& d,
 
 TEST(SubmitSpooler, FlushOnCountDeliversInOrder) {
   Network net;
-  Bus bus(net, fast_bus(1));
+  BusConfig cfg = fast_bus(1);
+  cfg.submit_caps.max_commands = 4;
+  Bus bus(net, cfg);
   auto sub = bus.subscribe(0);
   bus.start();
   auto [me, mybox] = net.register_node();
 
-  SubmitSpoolerOptions opt;
-  opt.max_commands = 4;
-  SubmitSpooler spooler(bus, opt);
   for (std::uint64_t i = 0; i < 8; ++i) {
-    ASSERT_TRUE(spooler.spool(me, cmd(i, GroupSet::single(0))));
+    ASSERT_TRUE(spool(bus, me, cmd(i, GroupSet::single(0))));
   }
-  SpoolStats s = spooler.stats();
+  SpoolStats s = bus.coalesce_stats();
   EXPECT_EQ(s.spooled_commands, 8u);
   EXPECT_EQ(s.flushes, 2u);
   EXPECT_EQ(s.flush_on_count, 2u);
@@ -405,22 +413,21 @@ TEST(SubmitSpooler, FlushOnCountDeliversInOrder) {
 
 TEST(SubmitSpooler, FlushOnBytes) {
   Network net;
-  Bus bus(net, fast_bus(1));
+  BusConfig cfg = fast_bus(1);
+  cfg.submit_caps.max_commands = 1000;
+  cfg.submit_caps.max_bytes = 512;
+  Bus bus(net, cfg);
   auto sub = bus.subscribe(0);
   bus.start();
   auto [me, mybox] = net.register_node();
 
-  SubmitSpoolerOptions opt;
-  opt.max_commands = 1000;
-  opt.max_bytes = 512;
-  SubmitSpooler spooler(bus, opt);
   std::uint64_t n = 0;
-  while (spooler.stats().flush_on_bytes == 0) {
-    ASSERT_TRUE(spooler.spool(me, cmd(n++, GroupSet::single(0),
-                                      /*param_bytes=*/100)));
+  while (bus.coalesce_stats().flush_on_bytes == 0) {
+    ASSERT_TRUE(spool(bus, me, cmd(n++, GroupSet::single(0),
+                                   /*param_bytes=*/100)));
     ASSERT_LT(n, 100u) << "byte cap never triggered";
   }
-  SpoolStats s = spooler.stats();
+  SpoolStats s = bus.coalesce_stats();
   EXPECT_EQ(s.flush_on_count, 0u);
   EXPECT_GE(s.flushed_bytes, 512u);
   auto seqs = drain_seqs(*sub, s.flushed_commands);
@@ -436,16 +443,15 @@ TEST(SubmitSpooler, FlushAllDrainsEveryRing) {
   bus.start();
   auto [me, mybox] = net.register_node();
 
-  SubmitSpooler spooler(bus, SubmitSpoolerOptions{});
-  ASSERT_TRUE(spooler.spool(me, cmd(1, GroupSet::single(0))));
-  ASSERT_TRUE(spooler.spool(me, cmd(2, GroupSet::single(1))));
-  ASSERT_TRUE(spooler.spool(me, cmd(3, GroupSet::all(2))));  // shared ring
-  EXPECT_EQ(spooler.stats().flushes, 0u);  // nothing hit a cap
+  ASSERT_TRUE(spool(bus, me, cmd(1, GroupSet::single(0))));
+  ASSERT_TRUE(spool(bus, me, cmd(2, GroupSet::single(1))));
+  ASSERT_TRUE(spool(bus, me, cmd(3, GroupSet::all(2))));  // shared ring
+  EXPECT_EQ(bus.coalesce_stats().flushes, 0u);  // nothing hit a cap
 
-  spooler.flush_all(me);
-  SpoolStats s = spooler.stats();
-  EXPECT_EQ(s.flushes, 3u);  // one per non-empty spool
-  EXPECT_EQ(s.flush_on_poll, 3u);
+  bus.flush_submits(me);
+  SpoolStats s = bus.coalesce_stats();
+  EXPECT_EQ(s.flushes, 3u);  // one per non-empty frame
+  EXPECT_EQ(s.flush_explicit, 3u);
   EXPECT_EQ(s.flushed_commands, 3u);
 
   // Group 0 sees its singleton plus the g_all command; group 1 likewise.
@@ -459,33 +465,93 @@ TEST(SubmitSpooler, FlushAllDrainsEveryRing) {
   EXPECT_EQ(g0, (std::vector<std::uint64_t>{1, 3}));
   EXPECT_EQ(g1, (std::vector<std::uint64_t>{2, 3}));
 
-  // Idempotent: empty spools don't flush again.
-  spooler.flush_all(me);
-  EXPECT_EQ(spooler.stats().flushes, 3u);
+  // Idempotent: empty frames don't flush again.
+  bus.flush_submits(me);
+  EXPECT_EQ(bus.coalesce_stats().flushes, 3u);
+  bus.stop();
+}
+
+TEST(SubmitSpooler, MulticastAndSpooledSubmitsDecideInCallOrder) {
+  // Bus::multicast and a spooled submit from the same node to the same ring
+  // share one open frame: a multicast carries every command spooled before
+  // it, so the ring decides all of them in call order.
+  Network net;
+  Bus bus(net, fast_bus(1));
+  auto sub = bus.subscribe(0);
+  bus.start();
+  auto [me, mybox] = net.register_node();
+
+  constexpr std::uint64_t kCommands = 40;
+  for (std::uint64_t i = 0; i < kCommands; ++i) {
+    const Command c = cmd(i, GroupSet::single(0));
+    if (i % 3 == 2) {
+      ASSERT_TRUE(bus.multicast(me, c.groups, c.encode()));
+    } else {
+      ASSERT_TRUE(spool(bus, me, c));
+    }
+  }
+  bus.flush_submits(me);
+  auto seqs = drain_seqs(*sub, kCommands);
+  ASSERT_EQ(seqs.size(), kCommands);
+  for (std::uint64_t i = 0; i < kCommands; ++i) EXPECT_EQ(seqs[i], i);
+  SpoolStats s = bus.coalesce_stats();
+  EXPECT_EQ(s.flushed_commands, kCommands);
+  // 13 multicasts, each carrying the two submits spooled before it, plus
+  // the final explicit flush of the last spooled submit.
+  EXPECT_EQ(s.flushes, 14u);
   bus.stop();
 }
 
 TEST(SubmitSpooler, RejectedFlushIsCountedAndReported) {
   Network net;
-  Bus bus(net, fast_bus(1));
+  BusConfig cfg = fast_bus(1);
+  cfg.submit_caps.max_commands = 2;
+  Bus bus(net, cfg);
   auto [me, mybox] = net.register_node();
 
-  SubmitSpoolerOptions opt;
-  opt.max_commands = 2;
-  SubmitSpooler spooler(bus, opt);
-  ASSERT_TRUE(spooler.spool(me, cmd(1, GroupSet::single(0))));
+  ASSERT_TRUE(spool(bus, me, cmd(1, GroupSet::single(0))));
   net.shutdown();
   // The second command trips the cap; the flush hits the dead transport.
-  EXPECT_FALSE(spooler.spool(me, cmd(2, GroupSet::single(0))));
-  EXPECT_EQ(spooler.stats().failed_flush_commands, 2u);
+  EXPECT_FALSE(spool(bus, me, cmd(2, GroupSet::single(0))));
+  EXPECT_EQ(bus.coalesce_stats().failed_flush_commands, 2u);
+}
+
+TEST(SubmitSpooler, FlushedFramePinsNoBlock) {
+  // Frames grow on demand and a destination whose frame flushed holds no
+  // pool block: once the sink drops the flushed frames, every block the
+  // spool acquired is back.
+  auto& pool = util::BufferPool::global();
+  const std::int64_t before = pool.stats().outstanding;
+  std::vector<util::Payload> sent;
+  {
+    transport::FrameSpool<int> spool(
+        64, 32 * 1024, transport::FrameSpool<int>::kNoAgeBound,
+        [&](transport::NodeId, int, util::Payload message, bool) {
+          sent.push_back(std::move(message));
+          return true;
+        });
+    for (int key = 0; key < 8; ++key) {
+      for (std::uint64_t i = 0; i < 3; ++i) {
+        const Command c = cmd(i, GroupSet::single(0));
+        spool.append(transport::kNoNode, key, c.encoded_size(),
+                     [&c](util::PayloadWriter& w) { c.encode_into(w); });
+      }
+    }
+    // Three small commands fit a block far below the 32 KiB byte cap.
+    EXPECT_EQ(pool.stats().outstanding - before, 8);
+    spool.flush_all(transport::kNoNode);
+    ASSERT_EQ(sent.size(), 8u);
+    EXPECT_LT(sent.front().size(), 1024u);
+    sent.clear();
+    EXPECT_EQ(pool.stats().outstanding, before);
+  }
 }
 
 TEST(SubmitSpooler, DeploymentPipelinesAndConverges) {
-  // End-to-end: the default deployment wires the spooler in, the disjoint
+  // End-to-end: the default deployment spools submits, the disjoint
   // workload converges to identical replica digests, and every spooled
   // command was flushed (poll-entry leaves nothing stranded).
   auto cfg = test_support::kv_config(Mode::kPsmr, 2, /*initial_keys=*/400);
-  ASSERT_TRUE(cfg.pipeline_submits.enabled);
   test_support::Cluster cluster(std::move(cfg));
   test_support::run_disjoint_kv_workload(*cluster, /*clients=*/4,
                                          /*ops=*/150);
@@ -498,12 +564,19 @@ TEST(SubmitSpooler, DeploymentPipelinesAndConverges) {
 }
 
 TEST(SubmitSpooler, DisabledSpoolingStillConverges) {
+  // Submit caps of 1: every command leaves as its own kPaxosSubmit, on the
+  // same code path.
   auto cfg = test_support::kv_config(Mode::kPsmr, 2, /*initial_keys=*/400);
-  cfg.pipeline_submits.enabled = false;
+  cfg.submit_caps.max_commands = 1;
   test_support::Cluster cluster(std::move(cfg));
   test_support::run_disjoint_kv_workload(*cluster, /*clients=*/2,
                                          /*ops=*/100);
-  EXPECT_EQ(cluster->spool_stats().spooled_commands, 0u);
+  SpoolStats s = cluster->spool_stats();
+  EXPECT_GT(s.spooled_commands, 0u);
+  EXPECT_EQ(s.flushes, s.flushed_commands);
+  EXPECT_EQ(s.flush_on_count, s.flushes);
+  EXPECT_EQ(cluster->multicast_stats().submit_msgs,
+            cluster->multicast_stats().submit_commands);
 }
 
 }  // namespace

@@ -36,21 +36,21 @@ struct ReadRecord {
   std::uint64_t value;
 };
 
-// (mpl, batching profile, execution run length, reply coalescing):
+// (mpl, batching profile, execution run length, reply cap):
 // "default" is the tuned test ring; the aggressive profiles re-run the same
 // history check under multicast-batching extremes (near-zero timeout /
 // cap-driven sealing), which is where a batcher bug would first corrupt
 // ordering.  run_length forces replica-side execution batching fully on (8)
 // or off (1) — a batch accumulator that ever groups a dependent read/update
-// pair shows up here as a stale or futuristic read.  coalesce_responses
-// re-runs the check with reply batching forced off (it defaults on): a
-// demux or flush bug shows up as a lost, duplicated or reordered-per-seq
-// completion.
+// pair shows up here as a stale or futuristic read.  reply_cap re-runs the
+// check with the reply spool's response cap at 1 (default 64: replies of a
+// batch share a frame): a demux or flush bug shows up as a lost,
+// duplicated or reordered-per-seq completion.
 struct LinParam {
   int mpl;
   const char* profile;
   std::size_t run_length = 16;
-  bool coalesce_responses = true;
+  std::size_t reply_cap = ReplyCaps{}.max_responses;
 };
 
 paxos::RingConfig ring_for(const char* profile) {
@@ -72,7 +72,7 @@ TEST_P(PsmrLinearizability, SequentialWriterConcurrentReaders) {
       Mode::kPsmr, static_cast<std::size_t>(mpl),
       ring_for(GetParam().profile), /*initial_keys=*/16);
   cfg.exec_run_length = GetParam().run_length;
-  cfg.coalesce_responses = GetParam().coalesce_responses;
+  cfg.reply_caps.max_responses = GetParam().reply_cap;
   // fast_ring() is tuned for ~9 rings; stretch the idle-skip cadence at 16
   // groups the same way sharded_kv_config does, to hold aggregate skip load
   // roughly constant on this small host.
@@ -161,16 +161,16 @@ INSTANTIATE_TEST_SUITE_P(
                       LinParam{4, "tiny-timeout"}, LinParam{4, "tiny-cap"},
                       LinParam{4, "default", /*run_length=*/8},
                       LinParam{4, "default", /*run_length=*/1},
-                      // One coalescing-off pass on the tuned ring; the
+                      // One reply-cap-1 pass on the tuned ring; the
                       // response_batching_test convergence suite covers
-                      // on/off on both replica modes.
+                      // both caps on both replica modes.
                       LinParam{4, "default", /*run_length=*/16,
-                               /*coalesce_responses=*/false}),
+                               /*reply_cap=*/1}),
     [](const auto& info) {
       std::string name =
           "mpl" + std::to_string(info.param.mpl) + "_" + info.param.profile +
           "_rl" + std::to_string(info.param.run_length);
-      if (!info.param.coalesce_responses) name += "_nocoalesce";
+      if (info.param.reply_cap == 1) name += "_nocoalesce";
       for (auto& c : name) {
         if (c == '-') c = '_';
       }

@@ -1,11 +1,12 @@
-// Response-path batching (PR 5): the multi-response wire codec, the
-// flat-combining ResponseCoalescer, the ClientProxy demultiplexer, and
-// end-to-end convergence with coalescing forced on and off.
+// Response-path batching: the shared frame codec, the reply direction of
+// the frame spool, the ClientProxy demultiplexer, and end-to-end
+// convergence with the reply spool at its default caps and at a cap of 1.
 //
-// The codec suite doubles as the hardening coverage for the one frame type
-// a client proxy decodes straight off the network: truncated lengths,
-// zero-response frames and oversized counts must reject, and a fuzz loop
-// mutates valid frames to check that no input can over-read or crash.
+// The codec suite doubles as the hardening coverage for the frames a node
+// decodes straight off the network — kSmrResponseMany at a client proxy
+// and SUBMIT_MANY at a coordinator: truncated lengths, zero-entry frames
+// and oversized counts must reject, and a fuzz loop mutates valid frames
+// of both kinds to check that no input can over-read or crash.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,8 +17,8 @@
 #include "kvstore/kv_client.h"
 #include "smr/client.h"
 #include "smr/response_batch.h"
-#include "smr/response_coalescer.h"
 #include "smr/runtime.h"
+#include "transport/frame_spool.h"
 #include "test_support.h"
 #include "util/rng.h"
 
@@ -42,6 +43,45 @@ std::vector<util::Buffer> encode_all(const std::vector<Response>& responses) {
   return encoded;
 }
 
+/// The shared frame layout, built independently of the spool: u32 count +
+/// count length-prefixed entries.
+util::Buffer frame_of(const std::vector<util::Buffer>& entries) {
+  util::Writer w;
+  w.u32(static_cast<std::uint32_t>(entries.size()));
+  for (const auto& e : entries) w.bytes(e);
+  return w.take();
+}
+
+util::Buffer response_frame(const std::vector<Response>& responses) {
+  return frame_of(encode_all(responses));
+}
+
+/// A SUBMIT_MANY frame of `n` encoded commands.
+util::Buffer submit_frame(std::size_t n, util::SplitMix64& rng) {
+  std::vector<util::Buffer> cmds;
+  for (std::size_t i = 0; i < n; ++i) {
+    Command c;
+    c.cmd = static_cast<CommandId>(rng.next());
+    c.client = rng.next();
+    c.seq = rng.next();
+    c.reply_to = static_cast<transport::NodeId>(rng.next());
+    c.groups = multicast::GroupSet::single(0);
+    c.params = util::Buffer(rng.next_below(32), 0x5a);
+    cmds.push_back(c.encode());
+  }
+  return frame_of(cmds);
+}
+
+/// Whether the coordinator's frame decoder accepts `frame`; counts the
+/// entries it visits so a rejection can be checked to visit nothing.
+bool submit_frame_accepted(std::span<const std::uint8_t> frame) {
+  std::uint32_t visited = 0;
+  const std::uint32_t n = transport::decode_frame(
+      frame, [&](std::span<const std::uint8_t>) { ++visited; });
+  EXPECT_EQ(visited, n);
+  return n > 0;
+}
+
 // --- Wire codec ----------------------------------------------------------
 
 TEST(ResponseBatchCodec, RoundTripsSingleAndMany) {
@@ -51,7 +91,7 @@ TEST(ResponseBatchCodec, RoundTripsSingleAndMany) {
       in.push_back(make_response(i + 1, 100 + i, static_cast<std::uint8_t>(i),
                                  /*payload_len=*/i % 5));
     }
-    auto frame = encode_response_batch(encode_all(in));
+    auto frame = response_frame(in);
     auto out = decode_response_batch(frame);
     ASSERT_TRUE(out.has_value()) << n << " responses";
     ASSERT_EQ(out->size(), n);
@@ -67,9 +107,11 @@ TEST(ResponseBatchCodec, RejectsZeroResponseFrame) {
   util::Writer w;
   w.u32(0);
   EXPECT_FALSE(decode_response_batch(w.view()).has_value());
+  EXPECT_FALSE(submit_frame_accepted(w.view()));
   // ...also when trailing bytes dangle after the zero count.
   w.u32(123);
   EXPECT_FALSE(decode_response_batch(w.view()).has_value());
+  EXPECT_FALSE(submit_frame_accepted(w.view()));
 }
 
 TEST(ResponseBatchCodec, RejectsOversizedCounts) {
@@ -77,17 +119,19 @@ TEST(ResponseBatchCodec, RejectsOversizedCounts) {
   util::Writer w;
   w.u32(kMaxResponsesPerMessage + 1);
   EXPECT_FALSE(decode_response_batch(w.view()).has_value());
+  EXPECT_FALSE(submit_frame_accepted(w.view()));
   // Within the cap but impossible for the bytes present: a hostile count
   // must be rejected before any allocation is attempted.
   util::Writer w2;
   w2.u32(kMaxResponsesPerMessage);
   w2.u32(4);  // one lonely length prefix
   EXPECT_FALSE(decode_response_batch(w2.view()).has_value());
+  EXPECT_FALSE(submit_frame_accepted(w2.view()));
 }
 
 TEST(ResponseBatchCodec, RejectsTruncatedLengthAndBody) {
-  auto frame = encode_response_batch(
-      encode_all({make_response(1, 1, 0xaa), make_response(2, 2, 0xbb)}));
+  auto frame =
+      response_frame({make_response(1, 1, 0xaa), make_response(2, 2, 0xbb)});
   // Every strict prefix must reject: truncation can cut a length prefix, a
   // response body, or the boundary between the two.
   for (std::size_t cut = 0; cut < frame.size(); ++cut) {
@@ -95,12 +139,24 @@ TEST(ResponseBatchCodec, RejectsTruncatedLengthAndBody) {
                         frame.begin() + static_cast<std::ptrdiff_t>(cut));
     EXPECT_FALSE(decode_response_batch(prefix).has_value()) << "cut " << cut;
   }
+  util::SplitMix64 rng(7);
+  auto submit = submit_frame(3, rng);
+  ASSERT_TRUE(submit_frame_accepted(submit));
+  for (std::size_t cut = 0; cut < submit.size(); ++cut) {
+    util::Buffer prefix(submit.begin(),
+                        submit.begin() + static_cast<std::ptrdiff_t>(cut));
+    EXPECT_FALSE(submit_frame_accepted(prefix)) << "submit cut " << cut;
+  }
 }
 
 TEST(ResponseBatchCodec, RejectsTrailingBytes) {
-  auto frame = encode_response_batch(encode_all({make_response(1, 1, 0xaa)}));
+  auto frame = response_frame({make_response(1, 1, 0xaa)});
   frame.push_back(0);
   EXPECT_FALSE(decode_response_batch(frame).has_value());
+  util::SplitMix64 rng(7);
+  auto submit = submit_frame(2, rng);
+  submit.push_back(0);
+  EXPECT_FALSE(submit_frame_accepted(submit));
 }
 
 TEST(ResponseBatchCodec, RejectsMalformedInnerResponse) {
@@ -117,16 +173,23 @@ TEST(ResponseBatchCodec, FuzzedFramesNeverOverreadOrCrash) {
   util::SplitMix64 rng(test_support::logged_seed(0x5e5f));
   constexpr int kRounds = 4000;
   for (int round = 0; round < kRounds; ++round) {
-    // Start from a valid frame so mutations explore the interesting
-    // boundaries (counts, length prefixes) rather than only the count check.
-    std::vector<Response> in;
+    // Start from a valid frame — a response frame or a SUBMIT_MANY frame —
+    // so mutations explore the interesting boundaries (counts, length
+    // prefixes) rather than only the count check.
+    const bool submit = rng.next_below(2) == 0;
     const std::size_t n = 1 + rng.next_below(6);
-    for (std::size_t i = 0; i < n; ++i) {
-      in.push_back(make_response(rng.next(), rng.next(),
-                                 static_cast<std::uint8_t>(rng.next()),
-                                 rng.next_below(32)));
+    util::Buffer frame;
+    if (submit) {
+      frame = submit_frame(n, rng);
+    } else {
+      std::vector<Response> in;
+      for (std::size_t i = 0; i < n; ++i) {
+        in.push_back(make_response(rng.next(), rng.next(),
+                                   static_cast<std::uint8_t>(rng.next()),
+                                   rng.next_below(32)));
+      }
+      frame = response_frame(in);
     }
-    auto frame = encode_response_batch(encode_all(in));
     switch (rng.next_below(3)) {
       case 0: {  // flip a few bytes
         for (int flips = 1 + static_cast<int>(rng.next_below(4)); flips > 0;
@@ -153,22 +216,37 @@ TEST(ResponseBatchCodec, FuzzedFramesNeverOverreadOrCrash) {
       EXPECT_GE(out->size(), 1u);
       EXPECT_LE(out->size(), kMaxResponsesPerMessage);
     }
+    std::uint32_t visited = 0;
+    const std::uint32_t entries = transport::decode_frame(
+        frame, [&](std::span<const std::uint8_t>) { ++visited; });
+    EXPECT_EQ(visited, entries);
+    EXPECT_LE(entries, transport::kMaxFrameEntries);
   }
 }
 
-// --- ResponseCoalescer ---------------------------------------------------
+// --- Reply spool ----------------------------------------------------------
+// (Suite name kept from the class the reply spool replaced.)
 
-/// One sender node, one receiver mailbox, and a coalescer between them.
+/// One sender node, one receiver mailbox, and a reply spool between them.
 struct CoalescerRig {
-  explicit CoalescerRig(ResponseCoalescerOptions opts = {}) {
+  explicit CoalescerRig(ReplyCaps caps = {}) {
     auto [sid, sbox] = net.register_node();
     sender = sid;
     auto [rid, rbox] = net.register_node();
     receiver = rid;
     box = std::move(rbox);
-    coalescer = std::make_unique<ResponseCoalescer>(net, sender, opts);
+    spool = make_reply_spool(net, caps);
   }
   ~CoalescerRig() { net.shutdown(); }
+
+  void send(transport::NodeId to, const Response& resp) {
+    spool_reply(*spool, sender, to, resp);
+  }
+  /// The execution-batch boundary.
+  void flush_batch() { spool->flush_all(sender); }
+  [[nodiscard]] ResponseStats stats() const {
+    return ResponseStats::of(spool->stats());
+  }
 
   /// Pops one delivered wire message (fails the test on timeout).
   transport::Message pop() {
@@ -181,109 +259,116 @@ struct CoalescerRig {
   transport::NodeId sender = transport::kNoNode;
   transport::NodeId receiver = transport::kNoNode;
   std::shared_ptr<transport::Mailbox> box;
-  std::unique_ptr<ResponseCoalescer> coalescer;
+  std::unique_ptr<ReplySpool> spool;
 };
 
 TEST(ResponseCoalescer, SpoolsUntilBatchBoundaryThenSendsOneFrame) {
   CoalescerRig rig;
+  std::vector<Response> sent;
   for (Seq s = 1; s <= 3; ++s) {
-    rig.coalescer->send(rig.receiver, make_response(1, s, 0x11));
+    sent.push_back(make_response(1, s, 0x11));
+    rig.send(rig.receiver, sent.back());
   }
   // Nothing on the wire before the batch boundary.
   EXPECT_FALSE(rig.box->pop_for(10ms).has_value());
-  rig.coalescer->flush_batch();
+  rig.flush_batch();
   auto msg = rig.pop();
   EXPECT_EQ(msg.type, transport::MsgType::kSmrResponseMany);
+  // Byte for byte the shared frame layout.
+  EXPECT_EQ(msg.payload, response_frame(sent));
   auto batch = decode_response_batch(msg.payload);
   ASSERT_TRUE(batch.has_value());
   ASSERT_EQ(batch->size(), 3u);
   EXPECT_EQ((*batch)[0].seq, 1u);  // spool order preserved per destination
   EXPECT_EQ((*batch)[2].seq, 3u);
-  auto stats = rig.coalescer->stats();
+  auto stats = rig.stats();
   EXPECT_EQ(stats.wire_messages, 1u);
   EXPECT_EQ(stats.responses, 3u);
   EXPECT_EQ(stats.flush_batch, 1u);
   EXPECT_EQ(stats.flush_size + stats.flush_bytes + stats.flush_timeout, 0u);
   // An empty spool makes the next boundary a no-op.
-  rig.coalescer->flush_batch();
-  EXPECT_EQ(rig.coalescer->stats().wire_messages, 1u);
+  rig.flush_batch();
+  EXPECT_EQ(rig.stats().wire_messages, 1u);
 }
 
 TEST(ResponseCoalescer, LoneResponseKeepsPlainFraming) {
   CoalescerRig rig;
-  rig.coalescer->send(rig.receiver, make_response(1, 7, 0x22));
-  rig.coalescer->flush_batch();
+  const Response r = make_response(1, 7, 0x22);
+  rig.send(rig.receiver, r);
+  rig.flush_batch();
   auto msg = rig.pop();
   EXPECT_EQ(msg.type, transport::MsgType::kSmrResponse);
+  EXPECT_EQ(msg.payload, r.encode());  // no count, no length prefix
   auto resp = Response::decode(msg.payload);
   ASSERT_TRUE(resp.has_value());
   EXPECT_EQ(resp->seq, 7u);
 }
 
 TEST(ResponseCoalescer, SizeCapFlushesWithoutBoundary) {
-  ResponseCoalescerOptions opts;
-  opts.max_responses = 2;
-  CoalescerRig rig(opts);
-  rig.coalescer->send(rig.receiver, make_response(1, 1, 0x33));
-  rig.coalescer->send(rig.receiver, make_response(1, 2, 0x33));
+  ReplyCaps caps;
+  caps.max_responses = 2;
+  CoalescerRig rig(caps);
+  rig.send(rig.receiver, make_response(1, 1, 0x33));
+  rig.send(rig.receiver, make_response(1, 2, 0x33));
   auto msg = rig.pop();  // no flush_batch needed
   auto batch = decode_response_batch(msg.payload);
   ASSERT_TRUE(batch.has_value());
   EXPECT_EQ(batch->size(), 2u);
-  auto stats = rig.coalescer->stats();
+  auto stats = rig.stats();
   EXPECT_EQ(stats.flush_size, 1u);
   EXPECT_EQ(stats.flush_batch, 0u);
 }
 
 TEST(ResponseCoalescer, CapReasonIsAttributedOnlyToTheTrippedBucket) {
   // Destination A trips the size cap while destination B merely has a
-  // spooled response; the drain loop sends both, but only A's wire message
-  // may count under flush_size — B's is a sweep (flush_batch).
-  ResponseCoalescerOptions opts;
-  opts.max_responses = 2;
-  CoalescerRig rig(opts);
+  // spooled response: the cap flushes A's frame only, and B's leaves at
+  // the batch boundary — only A's wire message counts under flush_size.
+  ReplyCaps caps;
+  caps.max_responses = 2;
+  CoalescerRig rig(caps);
   auto [other, other_box] = rig.net.register_node();
   auto obox = other_box;
-  rig.coalescer->send(other, make_response(2, 1, 0x11));
-  rig.coalescer->send(rig.receiver, make_response(1, 1, 0x11));
-  rig.coalescer->send(rig.receiver, make_response(1, 2, 0x11));  // trips cap
+  rig.send(other, make_response(2, 1, 0x11));
+  rig.send(rig.receiver, make_response(1, 1, 0x11));
+  rig.send(rig.receiver, make_response(1, 2, 0x11));  // trips cap
   rig.pop();
+  EXPECT_FALSE(obox->pop_for(10ms).has_value());
+  rig.flush_batch();
   ASSERT_TRUE(obox->pop_for(2'000'000us).has_value());
-  auto stats = rig.coalescer->stats();
+  auto stats = rig.stats();
   EXPECT_EQ(stats.wire_messages, 2u);
   EXPECT_EQ(stats.flush_size, 1u);
   EXPECT_EQ(stats.flush_batch, 1u);
 }
 
 TEST(ResponseCoalescer, ByteCapFlushesWithoutBoundary) {
-  ResponseCoalescerOptions opts;
-  opts.max_bytes = 64;
-  CoalescerRig rig(opts);
-  rig.coalescer->send(rig.receiver,
-                      make_response(1, 1, 0x44, /*payload_len=*/80));
+  ReplyCaps caps;
+  caps.max_bytes = 64;
+  CoalescerRig rig(caps);
+  rig.send(rig.receiver, make_response(1, 1, 0x44, /*payload_len=*/80));
   auto msg = rig.pop();
   EXPECT_EQ(msg.type, transport::MsgType::kSmrResponse);  // lone response
-  EXPECT_EQ(rig.coalescer->stats().flush_bytes, 1u);
+  EXPECT_EQ(rig.stats().flush_bytes, 1u);
 }
 
 TEST(ResponseCoalescer, AgedSpoolFlushesOnNextSend) {
-  ResponseCoalescerOptions opts;
-  opts.max_delay = std::chrono::microseconds(0);  // every send is "aged"
-  CoalescerRig rig(opts);
-  rig.coalescer->send(rig.receiver, make_response(1, 1, 0x55));
+  ReplyCaps caps;
+  caps.max_delay = std::chrono::microseconds(0);  // every send is "aged"
+  CoalescerRig rig(caps);
+  rig.send(rig.receiver, make_response(1, 1, 0x55));
   auto msg = rig.pop();
   EXPECT_EQ(msg.type, transport::MsgType::kSmrResponse);
-  EXPECT_EQ(rig.coalescer->stats().flush_timeout, 1u);
+  EXPECT_EQ(rig.stats().flush_timeout, 1u);
 }
 
 TEST(ResponseCoalescer, BucketsPerDestination) {
   CoalescerRig rig;
   auto [other, other_box] = rig.net.register_node();
   auto obox = other_box;
-  rig.coalescer->send(rig.receiver, make_response(1, 1, 0x66));
-  rig.coalescer->send(other, make_response(2, 1, 0x77));
-  rig.coalescer->send(rig.receiver, make_response(1, 2, 0x66));
-  rig.coalescer->flush_batch();
+  rig.send(rig.receiver, make_response(1, 1, 0x66));
+  rig.send(other, make_response(2, 1, 0x77));
+  rig.send(rig.receiver, make_response(1, 2, 0x66));
+  rig.flush_batch();
   auto msg = rig.pop();
   auto batch = decode_response_batch(msg.payload);
   ASSERT_TRUE(batch.has_value());
@@ -292,56 +377,53 @@ TEST(ResponseCoalescer, BucketsPerDestination) {
   auto omsg = obox->pop_for(2'000'000us);
   ASSERT_TRUE(omsg.has_value());
   EXPECT_EQ(omsg->type, transport::MsgType::kSmrResponse);
-  auto stats = rig.coalescer->stats();
+  auto stats = rig.stats();
   EXPECT_EQ(stats.wire_messages, 2u);
   EXPECT_EQ(stats.responses, 3u);
 }
 
 TEST(ResponseCoalescer, DisabledModeSendsEachReplyDirectly) {
-  ResponseCoalescerOptions opts;
-  opts.enabled = false;
-  CoalescerRig rig(opts);
+  // A response cap of 1: every reply leaves on append, plainly framed, on
+  // the same code path.
+  ReplyCaps caps;
+  caps.max_responses = 1;
+  CoalescerRig rig(caps);
   for (Seq s = 1; s <= 3; ++s) {
-    rig.coalescer->send(rig.receiver, make_response(1, s, 0x88));
+    rig.send(rig.receiver, make_response(1, s, 0x88));
     auto msg = rig.pop();
     EXPECT_EQ(msg.type, transport::MsgType::kSmrResponse);
   }
-  rig.coalescer->flush_batch();  // no-op
-  auto stats = rig.coalescer->stats();
+  rig.flush_batch();  // no-op
+  auto stats = rig.stats();
   EXPECT_EQ(stats.wire_messages, 3u);
   EXPECT_EQ(stats.responses, 3u);
-  EXPECT_EQ(stats.uncoalesced, 3u);
+  EXPECT_EQ(stats.flush_size, 3u);
   EXPECT_EQ(stats.flush_batch, 0u);
 }
 
 TEST(ResponseCoalescer, FlushPauseRendezvousCarriesConcurrentSpool) {
-  // Deterministic reproduction of the flat-combining piggyback: the pause
-  // hook runs after the first wire send with the lock released — exactly
-  // where a concurrent worker's send() would land — and spools another
-  // response.  The active flusher's drain loop must carry it before
-  // flush_batch() returns, without a second flush_batch call.
-  CoalescerRig rig;
-  std::atomic<int> injected{0};
-  rig.coalescer->set_flush_pause([&] {
-    if (injected.fetch_add(1) == 0) {
-      rig.coalescer->send(rig.receiver, make_response(2, 9, 0x99));
-    }
-  });
-  rig.coalescer->send(rig.receiver, make_response(1, 1, 0x99));
-  rig.coalescer->flush_batch();
-  rig.coalescer->set_flush_pause({});
-  // Both responses arrived: the seeded one, then the injected straggler.
-  auto first = rig.pop();
-  auto second = rig.pop();
-  auto r1 = Response::decode(first.payload);
-  auto r2 = Response::decode(second.payload);
-  ASSERT_TRUE(r1 && r2);
-  EXPECT_EQ(r1->seq, 1u);
-  EXPECT_EQ(r2->seq, 9u);
-  auto stats = rig.coalescer->stats();
-  EXPECT_EQ(stats.wire_messages, 2u);
-  EXPECT_EQ(stats.responses, 2u);
-  EXPECT_GE(injected.load(), 1);
+  // Reply direction: two batch-boundary flushes to one proxy node meet in
+  // the reply spool.  The same rendezvous runs on the submit spool in
+  // Coalescer.ConcurrentSharedRingSubmitsPiggyback.
+  transport::Network net;
+  auto [replica, replica_box] = net.register_node();
+  auto [proxy, proxy_box] = net.register_node();
+  auto replies = make_reply_spool(net, ReplyCaps{});
+  auto reply = [&](Seq seq) {
+    spool_reply(*replies, replica, proxy, make_response(1, seq, 0x99));
+    replies->flush_all(replica);
+  };
+  test_support::flush_pause_rendezvous(
+      *replies, [&] { reply(1); }, [&] { reply(2); });
+  for (Seq seq : {1, 2}) {
+    auto m = proxy_box->pop_for(2s);
+    ASSERT_TRUE(m.has_value());
+    EXPECT_EQ(m->type, transport::MsgType::kSmrResponse);
+    auto r = Response::decode(m->payload);
+    ASSERT_TRUE(r.has_value());
+    EXPECT_EQ(r->seq, seq);
+  }
+  net.shutdown();
 }
 
 // --- ClientProxy demultiplexer -------------------------------------------
@@ -388,7 +470,7 @@ TEST(ProxyDemux, MultiResponseFrameCompletesSeveralCommands) {
                                    reply_to(cmds[1], 2)};
   rig.net.send(rig.server, cmds[0].reply_to,
                transport::MsgType::kSmrResponseMany,
-               encode_response_batch(encode_all(replies)));
+               response_frame(replies));
   // One frame, three poll() completions, in the frame's order.
   std::vector<Seq> seqs;
   for (int i = 0; i < 3; ++i) {
@@ -407,8 +489,7 @@ TEST(ProxyDemux, DuplicateReplicaFramesAreAbsorbed) {
   ASSERT_TRUE(rig.proxy->submit(1, {}).has_value());
   ASSERT_TRUE(rig.proxy->submit(1, {}).has_value());
   std::vector<Command> cmds = {rig.recv(), rig.recv()};
-  auto frame = encode_response_batch(
-      encode_all({reply_to(cmds[0], 1), reply_to(cmds[1], 2)}));
+  auto frame = response_frame({reply_to(cmds[0], 1), reply_to(cmds[1], 2)});
   // Two replicas, same coalesced frame.
   rig.net.send(rig.server, cmds[0].reply_to,
                transport::MsgType::kSmrResponseMany, frame);
@@ -441,8 +522,7 @@ TEST(ProxyDemux, MixedKnownAndUnknownSeqsCompleteOnlyKnown) {
   ASSERT_TRUE(rig.proxy->submit(1, {}).has_value());
   Command cmd = rig.recv();
   Response phantom = make_response(cmd.client, cmd.seq + 1000, 9);
-  auto frame = encode_response_batch(
-      encode_all({phantom, reply_to(cmd, 1), phantom}));
+  auto frame = response_frame({phantom, reply_to(cmd, 1), phantom});
   rig.net.send(rig.server, cmd.reply_to, transport::MsgType::kSmrResponseMany,
                frame);
   auto done = rig.proxy->poll(2'000'000us);
@@ -451,7 +531,7 @@ TEST(ProxyDemux, MixedKnownAndUnknownSeqsCompleteOnlyKnown) {
   EXPECT_FALSE(rig.proxy->poll(50ms).has_value());
 }
 
-// --- End-to-end: coalescing on vs off on both replica modes --------------
+// --- End-to-end: default reply caps vs a cap of 1 on both replica modes ---
 
 class ResponseConvergence : public ::testing::TestWithParam<Mode> {};
 
@@ -463,7 +543,7 @@ TEST_P(ResponseConvergence, CoalescedAndUncoalescedRepliesConverge) {
 
   auto run_with = [&](bool coalesce, ResponseStats* stats) {
     auto cfg = test_support::kv_config(mode, /*mpl=*/2, keys);
-    cfg.coalesce_responses = coalesce;
+    if (!coalesce) cfg.reply_caps.max_responses = 1;
     test_support::Cluster cluster(std::move(cfg));
     std::uint64_t digest = test_support::run_disjoint_kv_workload(
         cluster.deployment(), kClients, kOps);
@@ -485,14 +565,14 @@ TEST_P(ResponseConvergence, CoalescedAndUncoalescedRepliesConverge) {
   EXPECT_GE(coalesced.responses, 2 * total);
   EXPECT_GE(uncoalesced.responses, 2 * total);
 
-  // Coalescing off: exactly one wire message per reply, all uncoalesced.
+  // Reply cap 1: exactly one wire message per reply, each closed by the
+  // cap on append.
   EXPECT_EQ(uncoalesced.wire_messages, uncoalesced.responses);
-  EXPECT_EQ(uncoalesced.uncoalesced, uncoalesced.wire_messages);
+  EXPECT_EQ(uncoalesced.flush_size, uncoalesced.wire_messages);
 
-  // Coalescing on: batch-boundary flushes happened, the reason counters
+  // Default caps: batch-boundary flushes happened, the reason counters
   // partition the wire messages, and — with 3 clients pipelining 32-deep
   // onto 2 workers — at least some frame carried more than one reply.
-  EXPECT_EQ(coalesced.uncoalesced, 0u);
   EXPECT_GT(coalesced.flush_batch, 0u);
   EXPECT_EQ(coalesced.flush_batch + coalesced.flush_size +
                 coalesced.flush_bytes + coalesced.flush_timeout,

@@ -140,8 +140,8 @@ TEST(Calibration, ResponseCoalescingRecordMeetsPr5Targets) {
   // least 4 responses on the wire per message, and coalescing must never
   // cost deployment throughput.
   EXPECT_GE(rc.responses_per_message, 4.0);
-  // ...but a frame can never carry more than the coalescer's per-bucket
-  // response cap (ResponseCoalescerOptions::max_responses default).
+  // ...but a frame can never carry more than the reply spool's
+  // per-destination response cap (ReplyCaps::max_responses default).
   EXPECT_LE(rc.responses_per_message, 64.0);
   EXPECT_GE(rc.coalesced_ratio(), 1.0);
   // On the one-core reference host ordering dominates the deployment, so

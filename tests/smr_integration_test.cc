@@ -3,7 +3,10 @@
 // dependent-command serialization, first-response semantics, failover.
 #include <gtest/gtest.h>
 
+#include <mutex>
+#include <set>
 #include <thread>
+#include <vector>
 
 #include "kvstore/kv_client.h"
 #include "smr/runtime.h"
@@ -218,6 +221,32 @@ TEST(Deployment, MakeClientAssignsDistinctIds) {
   auto c2 = d.make_client();
   EXPECT_NE(c1->id(), c2->id());
   EXPECT_NE(c1->node(), c2->node());
+  d.stop();
+}
+
+TEST(Deployment, ConcurrentMakeClientAssignsDistinctIds) {
+  // Driver threads build their clients concurrently (run_threads); replicas
+  // deduplicate per client id, so a shared id would make one client's
+  // commands look stale to the other's and stall it for good.
+  Deployment d(kv_config(Mode::kNoRep, 1));
+  d.start();
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 64;
+  test_support::Barrier start(kThreads);
+  std::mutex mu;
+  std::set<ClientId> ids;
+  std::vector<std::unique_ptr<ClientProxy>> clients;
+  test_support::run_threads(kThreads, [&](int) {
+    start.arrive_and_wait();
+    for (int i = 0; i < kPerThread; ++i) {
+      auto c = d.make_client();
+      std::lock_guard lock(mu);
+      ids.insert(c->id());
+      clients.push_back(std::move(c));
+    }
+  });
+  EXPECT_EQ(ids.size(), static_cast<std::size_t>(kThreads * kPerThread));
+  clients.clear();
   d.stop();
 }
 

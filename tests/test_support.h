@@ -8,6 +8,9 @@
 // drivers.
 #pragma once
 
+#include <gtest/gtest.h>
+
+#include <atomic>
 #include <barrier>
 #include <chrono>
 #include <cstdint>
@@ -17,6 +20,8 @@
 
 #include "smr/runtime.h"
 #include "smr/shard_spec.h"
+#include "transport/frame_spool.h"
+#include "util/sync.h"
 
 namespace psmr::test_support {
 
@@ -164,6 +169,49 @@ using Barrier = std::barrier<>;
 /// Runs fn(0..n-1) on n threads and joins them all, even if fn throws
 /// a GoogleTest fatal-failure exception on some thread.
 void run_threads(int n, const std::function<void(int)>& fn);
+
+/// Drives the flat-combining piggyback on one spool deterministically:
+/// `start_drain` (run on a second thread) becomes the active drainer and is
+/// parked by the flush-pause hook after its first send; `piggyback` then
+/// flushes from this thread and must hand its frame to that drain; only
+/// then is the drainer released to send it.
+template <typename Key>
+void flush_pause_rendezvous(transport::FrameSpool<Key>& spool,
+                            const std::function<void()>& start_drain,
+                            const std::function<void()>& piggyback) {
+  util::Signal drainer_paused;
+  util::Signal piggyback_done;
+  std::atomic<int> sends{0};
+  spool.set_flush_pause([&] {
+    // Pause only the first send; the drain of the piggybacked frame must
+    // run through.
+    if (sends.fetch_add(1) == 0) {
+      drainer_paused.notify();
+      piggyback_done.wait();
+    }
+  });
+  std::thread drainer(start_drain);
+  // Bounded wait so a broken drain fails the test instead of deadlocking
+  // it against the suite timeout.
+  if (!drainer_paused.wait_for(std::chrono::seconds(5))) {
+    piggyback_done.notify();  // unblock the hook if it fires late
+    drainer.join();
+    spool.set_flush_pause({});
+    FAIL() << "drainer never reached the flush-pause rendezvous";
+  }
+  // The drainer is parked mid-drain: this flush piggybacks by construction.
+  piggyback();
+  EXPECT_EQ(spool.stats().piggybacked, 1u);
+  piggyback_done.notify();
+  drainer.join();
+  spool.set_flush_pause({});
+  // Both frames went out from the drainer thread; the piggybacked flush
+  // returned without sending.
+  EXPECT_EQ(sends.load(), 2);
+  auto s = spool.stats();
+  EXPECT_EQ(s.flushes, 2u);
+  EXPECT_EQ(s.flushed_commands, 2u);
+}
 
 /// Drives a KV deployment with a deterministic convergence workload whose
 /// final state is independent of cross-client interleaving: client t
