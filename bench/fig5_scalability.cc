@@ -11,8 +11,9 @@
 // dominates, flattening as per-ring merge bookkeeping and cross-shard
 // barriers grow with the ring count.
 //
-// --json FILE writes BENCH_shard.json: the per-shard-count points plus the
-// scaling ratio the CI gate asserts (kcps at gate_shards >= min_scaling x
+// --json FILE writes BENCH_shard.json: the per-shard-count points, tagged
+// "source": "model" (simulator) or "measured" (--real), plus the scaling
+// ratio the CI gate asserts (kcps at gate_shards >= min_scaling x
 // kcps at baseline_shards, see sim/calibration.h).
 #include "bench_common.h"
 
@@ -113,10 +114,10 @@ int main(int argc, char** argv) {
     }
     std::fprintf(f,
                  "{\n  \"shard_sweep\": {\n"
-                 "    \"mode\": \"%s\",\n"
+                 "    \"source\": \"%s\",\n"
                  "    \"conflict_rate\": %.4f,\n"
                  "    \"points\": [",
-                 opt.real ? "real" : "sim", cal.conflict_rate);
+                 opt.real ? "measured" : "model", cal.conflict_rate);
     for (int i = 0; i < n_points; ++i) {
       std::fprintf(f, "%s\n      {\"shards\": %d, \"kcps\": %.1f}",
                    i ? "," : "", shard_counts[i], kcps[i]);

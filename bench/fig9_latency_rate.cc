@@ -2,27 +2,19 @@
 // have.  Figures 3-8 all measure closed-loop populations at fixed
 // multiprogramming levels, which by construction cannot overload the
 // system: the window throttles arrivals as soon as latency grows.  This
-// bench drives the fig3 independent mix (100% uniform reads) open loop —
-// Poisson arrivals at a held offered rate — and sweeps that rate through
-// the saturation knee, with the admission valve (smr/admission.h) off and
-// on at every point.
+// bench drives the fig3 independent mix (100% uniform reads) open loop on
+// the live runtime (P-SMR, mpl 4) — Poisson arrivals at a held offered
+// rate — with the admission valve (smr/admission.h) off and on at every
+// point.  The rates are multiples (0.5, 1, 1.5, 2x) of the host's own
+// closed-loop capacity, measured first, since the core count sets the knee.
 //
-// Expected shape (pinned in sim::AdmissionCalibration): goodput tracks
-// offered rate up to the knee; past it, with no valve, the in-ring backlog
-// degrades effective capacity and goodput collapses while p99 runs away;
-// with the valve on, occupancy shedding caps the backlog, goodput holds
-// near the knee and the tail stays bounded — overload degrades into
-// explicit kSmrRejected rejections instead of seconds-long sojourns.
+// Gate (what the live runtime guarantees, at every point): each arrival is
+// accounted for (offered == submitted + shed_valve + dispatch_failed), no
+// dispatch fails, and goodput is positive.  Shedding and goodput ratios are
+// reported, not gated.  The process exits non-zero when the gate fails.
 //
-// Default mode runs the deterministic fluid overload model
-// (sim::simulate_overload) on a FIXED grid and virtual duration — --quick
-// changes nothing, so the CI gate over BENCH_latency.json and
-// sim_calibration_test always agree.  --real additionally sweeps the real
-// runtime (open-loop driver, admission on/off deployments); real numbers
-// are reported, not gated (the container's core count sets the knee).
-//
-// --json FILE writes BENCH_latency.json: per-rate points, the knee summary,
-// the 2x-knee overload probe and the gate verdict.
+// --json FILE writes BENCH_latency.json: the host capacity, per-point
+// counters and percentiles, and the gate verdict.
 #include "bench_common.h"
 
 #include <vector>
@@ -34,31 +26,18 @@ namespace {
 
 struct RatePoint {
   double offered_kcps = 0;
-  sim::OverloadPoint off;
-  sim::OverloadPoint on;
+  bool admission = false;
+  workload::RunResult r;
+
+  [[nodiscard]] bool pass() const {
+    return r.offered == r.submitted + r.shed_valve + r.dispatch_failed &&
+           r.dispatch_failed == 0 && r.kcps > 0;
+  }
 };
 
-void print_point(const RatePoint& p) {
-  std::printf(
-      "%9.0f | %8.1f %9.0f %9.0f | %8.1f %9.0f %9.0f %6.2f\n",
-      p.offered_kcps, p.off.goodput_kcps, p.off.p50_latency_us,
-      p.off.p99_latency_us, p.on.goodput_kcps, p.on.p50_latency_us,
-      p.on.p99_latency_us, p.on.shed_fraction);
-}
-
-void json_point(std::FILE* f, const char* key, const sim::OverloadPoint& pt) {
-  std::fprintf(f,
-               "\"%s\": {\"goodput_kcps\": %.1f, \"shed_kcps\": %.1f, "
-               "\"shed_fraction\": %.4f, \"p50_us\": %.0f, \"p95_us\": %.0f, "
-               "\"p99_us\": %.0f, \"final_backlog\": %.0f}",
-               key, pt.goodput_kcps, pt.shed_kcps, pt.shed_fraction,
-               pt.p50_latency_us, pt.p95_latency_us, pt.p99_latency_us,
-               pt.final_backlog);
-}
-
-/// Real-runtime probe at one offered rate (reported, not gated).
-workload::RunResult run_real_point(const Options& opt, double offered_cps,
-                                   bool admission) {
+/// One open-loop point on the live runtime.
+workload::RunResult run_point(const Options& opt, double offered_cps,
+                              bool admission) {
   auto dcfg = real_kv_config(smr::Mode::kPsmr, /*mpl=*/4, /*keys=*/200'000);
   dcfg.admission.enabled = admission;
   smr::Deployment d(std::move(dcfg));
@@ -76,106 +55,49 @@ workload::RunResult run_real_point(const Options& opt, double offered_cps,
   return r;
 }
 
+unsigned long long ull(std::uint64_t v) {
+  return static_cast<unsigned long long>(v);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   Options opt = Options::parse(argc, argv);
-  const sim::AdmissionCalibration cal;
 
   std::printf(
-      "=== Latency/goodput vs offered rate (fig3 mix, open loop) ===\n");
-  std::printf("fluid overload model: capacity %.0f Kcps, penalty %.1e, "
-              "shed band [%.0f, %.0f]\n",
-              cal.capacity_kcps, cal.overload_penalty,
-              cal.shed_exit_occupancy, cal.shed_enter_occupancy);
+      "=== Latency/goodput vs offered rate (fig3 mix, open loop, live "
+      "P-SMR mpl 4) ===\n");
+  workload::RunResult base_run;
+  run_real_kv(opt, sim::Tech::kPsmr, 4, workload::KvMix{100, 0, 0, 0},
+              false, 16, &base_run);
+  const double host_kcps = base_run.kcps;
+  std::printf("host closed-loop capacity %.1f Kcps\n", host_kcps);
+  std::printf("%9s %5s | %8s %8s %7s %6s %8s | %8s %9s %9s\n", "offered",
+              "valve", "offered#", "submit#", "shed_v", "failed", "shed_rej",
+              "goodput", "p50us", "p99us");
 
-  sim::OverloadConfig base;
-  base.capacity_kcps = cal.capacity_kcps;
-  base.overload_penalty = cal.overload_penalty;
-  base.shed_enter_occupancy = cal.shed_enter_occupancy;
-  base.shed_exit_occupancy = cal.shed_exit_occupancy;
-
-  // Fixed sweep grid (fractions of the calibrated capacity).  The fluid
-  // model costs microseconds per point, so --quick never trims it — the
-  // knee and the gate numbers must not depend on flags.
-  const double fractions[] = {0.25, 0.5,  0.7, 0.8,  0.9, 0.95,
-                              1.0,  1.1,  1.25, 1.5, 1.75, 2.0};
   std::vector<RatePoint> points;
-  std::printf("%9s | %29s | %36s\n", "", "admission off", "admission on");
-  std::printf("%9s | %8s %9s %9s | %8s %9s %9s %6s\n", "offered", "goodput",
-              "p50us", "p99us", "goodput", "p50us", "p99us", "shed");
-  for (double frac : fractions) {
-    RatePoint p;
-    p.offered_kcps = frac * cal.capacity_kcps;
-    auto off_cfg = base;
-    off_cfg.admission = false;
-    p.off = sim::simulate_overload(off_cfg, p.offered_kcps);
-    auto on_cfg = base;
-    on_cfg.admission = true;
-    p.on = sim::simulate_overload(on_cfg, p.offered_kcps);
-    print_point(p);
-    points.push_back(std::move(p));
-  }
-
-  // Knee: highest swept rate the unvalved system still serves with
-  // `knee_headroom` of its offered load.
-  std::vector<sim::OverloadPoint> off_curve;
-  for (const auto& p : points) off_curve.push_back(p.off);
-  std::size_t knee = sim::knee_index(off_curve, cal.knee_headroom);
-  const auto& knee_pt = points[knee];
-  std::printf("knee: offered %.0f Kcps, goodput %.1f Kcps, p99 %.0f us\n",
-              knee_pt.offered_kcps, knee_pt.off.goodput_kcps,
-              knee_pt.off.p99_latency_us);
-
-  // Overload probe: overload_factor x the knee's offered rate, valve off
-  // and on.  This is the pair of points the CI gate is about.
-  const double probe_kcps = cal.overload_factor * knee_pt.offered_kcps;
-  auto off_cfg = base;
-  off_cfg.admission = false;
-  auto probe_off = sim::simulate_overload(off_cfg, probe_kcps);
-  auto on_cfg = base;
-  on_cfg.admission = true;
-  auto probe_on = sim::simulate_overload(on_cfg, probe_kcps);
-
-  const double knee_goodput = knee_pt.off.goodput_kcps;
-  const double on_vs_knee = probe_on.goodput_kcps / knee_goodput;
-  const double off_vs_knee = probe_off.goodput_kcps / knee_goodput;
-  const bool pass = on_vs_knee >= cal.min_goodput_vs_knee &&
-                    off_vs_knee <= cal.max_goodput_off_vs_knee &&
-                    probe_on.p99_latency_us <= cal.max_p99_on_us;
-  std::printf(
-      "at %.1fx knee (%.0f Kcps): on %.1f Kcps (%.2fx knee, p99 %.0f us, "
-      "shed %.0f%%), off %.1f Kcps (%.2fx knee, p99 %.0f us)\n",
-      cal.overload_factor, probe_kcps, probe_on.goodput_kcps, on_vs_knee,
-      probe_on.p99_latency_us, probe_on.shed_fraction * 100,
-      probe_off.goodput_kcps, off_vs_knee, probe_off.p99_latency_us);
-  std::printf(
-      "gate: on >= %.2fx knee, off <= %.2fx knee, on p99 <= %.0f us: %s\n",
-      cal.min_goodput_vs_knee, cal.max_goodput_off_vs_knee, cal.max_p99_on_us,
-      pass ? "PASS" : "FAIL");
-
-  // Optional real-runtime sweep, relative to the host's own closed-loop
-  // capacity (reported only; this container's core count sets the knee).
-  if (opt.real) {
-    workload::RunResult base_run;
-    run_real_kv(opt, sim::Tech::kPsmr, 4, workload::KvMix{100, 0, 0, 0},
-                false, 16, &base_run);
-    const double host_cps = base_run.kcps * 1000.0;
-    std::printf("\n--- real runtime (host closed-loop capacity %.0f cps) "
-                "---\n", host_cps);
-    std::printf("%9s %6s | %8s %8s %9s %7s\n", "offered", "valve", "goodput",
-                "shed", "p99us", "failed");
-    for (double frac : {0.5, 1.0, 1.5, 2.0}) {
-      for (bool admission : {false, true}) {
-        auto r = run_real_point(opt, frac * host_cps, admission);
-        std::printf("%9.0f %6s | %8.1f %8llu %9.0f %7llu\n", frac * host_cps,
-                    admission ? "on" : "off", r.kcps,
-                    static_cast<unsigned long long>(r.shed_rejected),
-                    r.p99_latency_us,
-                    static_cast<unsigned long long>(r.dispatch_failed));
-      }
+  bool pass = true;
+  for (double frac : {0.5, 1.0, 1.5, 2.0}) {
+    for (bool admission : {false, true}) {
+      RatePoint p;
+      p.offered_kcps = frac * host_kcps;
+      p.admission = admission;
+      p.r = run_point(opt, p.offered_kcps * 1000.0, admission);
+      const auto& r = p.r;
+      std::printf("%9.1f %5s | %8llu %8llu %7llu %6llu %8llu | %8.1f %9.0f "
+                  "%9.0f%s\n",
+                  p.offered_kcps, admission ? "on" : "off", ull(r.offered),
+                  ull(r.submitted), ull(r.shed_valve), ull(r.dispatch_failed),
+                  ull(r.shed_rejected), r.kcps, r.p50_latency_us,
+                  r.p99_latency_us, p.pass() ? "" : "  <- FAIL");
+      pass &= p.pass();
+      points.push_back(std::move(p));
     }
   }
+  std::printf("gate: offered == submitted + shed_valve + dispatch_failed, "
+              "dispatch_failed == 0, goodput > 0 at every point: %s\n",
+              pass ? "PASS" : "FAIL");
 
   if (!opt.json.empty()) {
     std::FILE* f = std::fopen(opt.json.c_str(), "w");
@@ -185,44 +107,26 @@ int main(int argc, char** argv) {
     }
     std::fprintf(f,
                  "{\n  \"latency_rate\": {\n"
-                 "    \"mode\": \"sim\",\n"
-                 "    \"capacity_kcps\": %.1f,\n"
-                 "    \"knee_headroom\": %.2f,\n"
-                 "    \"overload_factor\": %.2f,\n"
+                 "    \"source\": \"measured\",\n"
+                 "    \"host_capacity_kcps\": %.1f,\n"
                  "    \"points\": [",
-                 cal.capacity_kcps, cal.knee_headroom, cal.overload_factor);
+                 host_kcps);
     for (std::size_t i = 0; i < points.size(); ++i) {
-      std::fprintf(f, "%s\n      {\"offered_kcps\": %.1f, ", i ? "," : "",
-                   points[i].offered_kcps);
-      json_point(f, "off", points[i].off);
-      std::fprintf(f, ", ");
-      json_point(f, "on", points[i].on);
-      std::fprintf(f, "}");
+      const auto& p = points[i];
+      const auto& r = p.r;
+      std::fprintf(
+          f,
+          "%s\n      {\"offered_kcps\": %.1f, \"admission\": %s, "
+          "\"offered\": %llu, \"submitted\": %llu, \"shed_valve\": %llu, "
+          "\"dispatch_failed\": %llu, \"shed_rejected\": %llu, "
+          "\"goodput_kcps\": %.1f, \"p50_us\": %.0f, \"p99_us\": %.0f}",
+          i ? "," : "", p.offered_kcps, p.admission ? "true" : "false",
+          ull(r.offered), ull(r.submitted), ull(r.shed_valve),
+          ull(r.dispatch_failed), ull(r.shed_rejected), r.kcps,
+          r.p50_latency_us, r.p99_latency_us);
     }
-    std::fprintf(f,
-                 "\n    ],\n"
-                 "    \"knee\": {\"offered_kcps\": %.1f, "
-                 "\"goodput_kcps\": %.1f, \"p99_us\": %.0f},\n"
-                 "    \"at_2x_knee\": {\"offered_kcps\": %.1f,\n      ",
-                 knee_pt.offered_kcps, knee_goodput,
-                 knee_pt.off.p99_latency_us, probe_kcps);
-    json_point(f, "off", probe_off);
-    std::fprintf(f, ",\n      ");
-    json_point(f, "on", probe_on);
-    std::fprintf(f,
-                 "},\n"
-                 "    \"gates\": {\n"
-                 "      \"min_goodput_vs_knee\": %.2f,\n"
-                 "      \"on_goodput_vs_knee\": %.3f,\n"
-                 "      \"max_goodput_off_vs_knee\": %.2f,\n"
-                 "      \"off_goodput_vs_knee\": %.3f,\n"
-                 "      \"max_p99_on_us\": %.0f,\n"
-                 "      \"on_p99_us\": %.0f,\n"
-                 "      \"pass\": %s\n"
-                 "    }\n  }\n}\n",
-                 cal.min_goodput_vs_knee, on_vs_knee,
-                 cal.max_goodput_off_vs_knee, off_vs_knee, cal.max_p99_on_us,
-                 probe_on.p99_latency_us, pass ? "true" : "false");
+    std::fprintf(f, "\n    ],\n    \"pass\": %s\n  }\n}\n",
+                 pass ? "true" : "false");
     std::fclose(f);
     std::printf("wrote %s\n", opt.json.c_str());
   }

@@ -19,8 +19,8 @@
 //
 //     Heap traffic is counted by the util/alloc_hook operator-new hook
 //     (defined by bench_common.h) and reported as allocs-per-command,
-//     written with --json to BENCH_alloc.json; the pinned record lives in
-//     sim::AllocCalibration and is gated in CI (pooled <= 0.1, buffer >= 3).
+//     written with --json to BENCH_alloc.json and gated in CI
+//     (pooled <= 0.1, buffer >= 3).
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>

@@ -14,9 +14,8 @@ struct KvCosts {
   // (Section VII-F).  We split it as ~1.0us execution + ~0.18us single
   // stream delivery/unmarshal: 1/(1.18us) = 847 Kcps.
   //
-  // `exec` models the *paper's* tree on the paper's hardware; the measured
-  // trajectory of the real tree in src/kvstore lives in BtreeCalibration
-  // below, which scales this constant onto the current layout.
+  // `exec` models the *paper's* tree on the paper's hardware; the real tree
+  // in src/kvstore is measured live by bench_micro_btree.
   double exec = 1.00;
   double deliver_single = 0.18;
 
@@ -93,136 +92,6 @@ struct NetFsCosts {
   double spsmr_sched = 8.3;
 };
 
-/// Host-measured B+-tree micro-costs (PR 3).  Source: `bench_micro_btree
-/// --json` on the reference container (single core, RelWithDebInfo),
-/// random finds over a tree preloaded with sequential keys — the paper's
-/// Section VII setup.  The bench bakes the seed (pre-PR 3) node layout in
-/// as `BaselineFind`, so these ratios stay re-measurable in CI; the JSON's
-/// `derived` block must track this struct.
-///
-/// The reference host resolves a dependent miss in ~240ns but 8+
-/// independent misses in about one latency, so the cache-conscious layout
-/// pays off two ways: fewer lines and one less level per descent (the
-/// single-lookup rows), and the pipelined find_batch/multi-read path that
-/// overlaps whole lookups (the batch row — the replica executes delivered
-/// command batches, which is exactly that shape).
-struct BtreeCalibration {
-  // Random find, ns/op, 10M-key tree (memory-resident working set).
-  double find_10m_ns_seed = 650.0;   // seed layout (BaselineFind)
-  double find_10m_ns = 540.0;        // cache-conscious layout, single lookup
-  double find_batch_10m_ns = 187.0;  // pipelined find_batch (multi-get)
-  // 1M-key tree (LLC-edge): the layout alone ~2.7x's single lookups.
-  double find_1m_ns_seed = 325.0;
-  double find_1m_ns = 121.0;
-  double update_1m_ns = 133.0;
-
-  /// Single-lookup layout speedup at the paper's 10M-key working set.
-  [[nodiscard]] double layout_speedup() const {
-    return find_10m_ns_seed / find_10m_ns;
-  }
-  /// Batched-read speedup at 10M keys (the kKvMultiRead execution path).
-  [[nodiscard]] double batch_speedup() const {
-    return find_10m_ns_seed / find_batch_10m_ns;
-  }
-
-  /// KvCosts::exec scaled onto the current single-lookup tree: what the
-  /// simulator uses to track the real execution cost of point commands.
-  [[nodiscard]] double scaled_exec(const KvCosts& kv = {}) const {
-    return kv.exec / layout_speedup();
-  }
-  /// KvCosts::exec scaled onto the batched read path.
-  [[nodiscard]] double scaled_exec_batched(const KvCosts& kv = {}) const {
-    return kv.exec / batch_speedup();
-  }
-};
-
-/// Host-measured end-to-end batched execution record (PR 4; re-measured
-/// after the PR 5 response-path refactor).  Source: `bench_fig3 --json` on
-/// the reference container (single core, RelWithDebInfo): the fig3
-/// independent mix (100% uniform reads, 8M-key tree) driven through the
-/// replica execution pipeline — delivery thread → scheduler → worker batch
-/// accumulation → KvService::execute_batch (pipelined find_batch read lane)
-/// → marshaled, coalesced replies — with execution run length 16 vs 1.
-/// Reply coalescing (PR 5) widened the PR 4 ratio from 1.63x to ~2.6x: a
-/// 16-command run now leaves the replica as one wire frame instead of 16,
-/// so the per-command send cost that used to cap the batched leg is gone.
-struct ExecCalibration {
-  // Replica execution pipeline, Kcps, fig3 mix at 8M keys.
-  double pipeline_seq_kcps = 429.0;       // run length 1 (pre-batching path)
-  double pipeline_batched_kcps = 1126.0;  // run length 16, coalesced replies
-  double mean_commands_per_batch = 16.0;
-
-  /// End-to-end batched-vs-sequential execution speedup (acceptance
-  /// target: >= 1.3x on the reference host).
-  [[nodiscard]] double batched_ratio() const {
-    return pipeline_batched_kcps / pipeline_seq_kcps;
-  }
-};
-
-/// Host-measured response-path coalescing record (PR 5).  Source:
-/// `bench_fig3 --json` (BENCH_response.json) on the reference container:
-/// the full sP-SMR deployment (2 replicas, mpl 2, 4 clients at window 50,
-/// fig3 read mix, execution batching on) with reply coalescing on vs off
-/// (the off leg now runs the same reply spool with a response cap of 1).
-/// Coalescing bundles each execution batch's replies per destination proxy
-/// into one kSmrResponseMany frame, so the wire carries ~9 responses per
-/// message instead of 1; on the one-core host, where ordering dominates,
-/// that still buys ~4% deployment throughput and a visibly shorter latency
-/// tail (p99 1552 → 1360us) because clients drain one mailbox pop per
-/// batch instead of one per command.
-struct ResponseCalibration {
-  // Full sP-SMR deployment, Kcps, fig3 mix, window 50.
-  double deployment_uncoalesced_kcps = 231.6;  // one wire message per reply
-  double deployment_coalesced_kcps = 239.8;    // batched reply frames
-  double responses_per_message = 9.1;          // coalesced config, window 50
-
-  /// Deployment speedup from reply coalescing alone (acceptance: >= 1.0 on
-  /// the reference host — coalescing must never cost throughput).
-  [[nodiscard]] double coalesced_ratio() const {
-    return deployment_coalesced_kcps / deployment_uncoalesced_kcps;
-  }
-};
-
-/// Zero-copy buffer pool + submit pipelining pin (PR 10).  Source:
-/// `bench_micro_codec --json` (hot-path allocation metering via the
-/// util/alloc_hook counting allocator) and `bench_fig3_independent --json`
-/// (deployment throughput with the pooled stack in place).
-///
-/// The codec measurement replays the same 64-command submit→order→deliver
-/// chain two ways.  The seed's chain re-marshaled or copied the bytes into
-/// a fresh heap vector at every hop (client encode, SUBMIT_MANY pack,
-/// coordinator unpack, batch seal, learner unpack, Command::decode params
-/// copy): 10.36 allocations per command.  The pooled chain (PayloadWriter
-/// spool frame → subview pending → Batch encode/decode → Command::decode
-/// subviews) touches the heap once per *batch* — Batch::decode's commands
-/// vector — i.e. 1/64 per command.  Both numbers are deterministic, so CI
-/// gates them tightly; the throughput floor below guards the end-to-end
-/// claim (pooling must not cost deployment throughput vs the PR-8 record)
-/// with slack for host noise.
-struct AllocCalibration {
-  // Hot-path allocations per command, measured, 64-command spools.
-  double buffer_allocs_per_cmd = 10.36;   // the seed's Buffer-per-hop chain
-  double pooled_allocs_per_cmd = 0.0156;  // == 1 alloc / 64-command batch
-
-  // CI gates over BENCH_alloc.json (exact: the chains are deterministic).
-  double max_pooled_allocs_per_cmd = 0.1;
-  double min_buffer_allocs_per_cmd = 3.0;
-
-  // Reference-host sP-SMR coalesced deployment throughput with the pooled
-  // stack (fig3 mix, window 50), vs ResponseCalibration's PR-8 record.
-  double deployment_spsmr_kcps = 242.8;
-  /// CI floor on BENCH_response.json's coalesced_kcps: generous slack under
-  /// the measured 1.01x-of-record so shared-runner noise can't flake the
-  /// gate, while a real regression (pooling gone quadratic, the submit
-  /// spool serializing the bus) still trips it.
-  double min_deployment_ratio_vs_record = 0.5;
-
-  /// Hot-path allocation reduction from pooling (measured ~660x).
-  [[nodiscard]] double reduction() const {
-    return buffer_allocs_per_cmd / pooled_allocs_per_cmd;
-  }
-};
-
 /// Shard-scaling sweep pin (PR 6).  Source: `bench_fig5_scalability
 /// --json` — P-SMR throughput vs shard (= ring = worker group) count at a
 /// fixed cross-shard conflict rate, the many-ring configuration the
@@ -242,76 +111,6 @@ struct ShardCalibration {
   int baseline_shards = 1;
   int gate_shards = 8;
   double min_scaling = 1.5;
-};
-
-/// Overload/admission sweep pin (PR 7).  Source: `bench_fig9_latency_rate
-/// --json` (BENCH_latency.json) — the deterministic fluid overload model
-/// (sim/model.h, simulate_overload) swept over offered rates with the
-/// admission valve off and on.  The model is fully deterministic and runs a
-/// fixed virtual interval regardless of --quick, so the CI gate over the
-/// bench JSON and the sim_calibration_test assertions see identical numbers.
-///
-/// Shape being pinned: goodput tracks offered rate up to the knee; past it,
-/// with no valve, the in-ring backlog degrades effective capacity and
-/// goodput *collapses* (congestion collapse, not a plateau), while the
-/// occupancy valve caps the backlog and holds goodput near the knee with a
-/// bounded latency tail.
-struct AdmissionCalibration {
-  // Model inputs (OverloadConfig defaults the bench runs with).
-  double capacity_kcps = 842.0;    // KvCosts' single-stream SMR pipeline
-  double overload_penalty = 2.0e-5;
-  double shed_enter_occupancy = 8192;   // = smr::AdmissionConfig defaults
-  double shed_exit_occupancy = 4096;
-  /// Knee detection: the knee is the highest swept offered rate whose
-  /// goodput still covers this fraction of it.
-  double knee_headroom = 0.9;
-  /// The overload probe runs at this multiple of the knee's offered rate.
-  double overload_factor = 2.0;
-
-  // Measured record (bench_fig9_latency_rate --json, reference container).
-  double knee_offered_kcps = 842.0;
-  double knee_goodput_kcps = 836.2;
-  double on_goodput_2x_kcps = 750.9;    // admission ON at 2x-knee offered
-  double off_goodput_2x_kcps = 310.3;   // admission OFF at 2x-knee offered
-  double on_p99_2x_us = 11392.0;        // bounded by the occupancy cap
-  double off_p99_2x_us = 2015232.0;     // collapse: seconds-long sojourns
-
-  // CI gates (checked over BENCH_latency.json and re-asserted from the
-  // model in sim_calibration_test).
-  double min_goodput_vs_knee = 0.8;       // ON at 2x-knee holds >= 0.8x knee
-  double max_goodput_off_vs_knee = 0.6;   // OFF must collapse below 0.6x knee
-  double max_p99_on_us = 25'000;          // ON tail stays bounded
-};
-
-/// Recovery sweep pin (PR 8).  Source: `bench_fig10_recovery --json`
-/// (BENCH_recovery.json) — the deterministic recovery fluid model
-/// (sim/model.h, simulate_recovery) swept over downtimes with snapshot
-/// catch-up on and off.  The model runs fixed virtual parameters regardless
-/// of --quick, so the CI gate over the bench JSON and the
-/// sim_calibration_test assertions see identical numbers.
-///
-/// Shape being pinned: with periodic checkpoints, a restarted replica
-/// installs a snapshot and replays a *bounded* suffix, so its recovery time
-/// is a small multiple of the downtime; without them it replays the entire
-/// history, so recovery scales with uptime instead and is several times
-/// slower at the probe point.
-struct RecoveryCalibration {
-  // Model inputs (RecoveryConfig defaults the bench runs with).
-  double capacity_kcps = 842.0;    // KvCosts' single-stream SMR pipeline
-  double offered_kcps = 400.0;     // sustained load during the outage
-  double uptime_us = 10'100'000;   // virtual run time before the crash
-  double checkpoint_interval_cmds = 200'000;
-  double install_kcps = 8'420.0;   // bulk snapshot install (10x execution)
-  double probe_downtime_us = 500'000;  // the gated sweep point
-
-  // Measured record (bench_fig10_recovery --json, reference container).
-  double snapshot_recovery_us = 1'447'963.8;    // install + bounded suffix
-  double full_replay_recovery_us = 9'592'760.2; // whole-history replay
-
-  // CI gates (checked over BENCH_recovery.json and re-asserted from the
-  // model in sim_calibration_test).
-  double max_recovery_vs_downtime = 3.5;  // snapshot recovery / downtime
-  double min_full_replay_ratio = 4.0;     // full replay / snapshot recovery
 };
 
 /// Client/network constants shared by both services.

@@ -400,102 +400,4 @@ class Simulation {
 
 SimResult simulate(const SimConfig& cfg) { return Simulation(cfg).run(); }
 
-OverloadPoint simulate_overload(const OverloadConfig& cfg,
-                                double offered_kcps) {
-  OverloadPoint pt;
-  pt.offered_kcps = offered_kcps;
-  const double dt = cfg.step_us;
-  // Kcps = 1e-3 commands/us.
-  const double arrivals_per_step = offered_kcps * 1e-3 * dt;
-  const double capacity = cfg.capacity_kcps * 1e-3;  // commands/us
-  double backlog = 0;
-  double completed = 0;
-  double shed = 0;
-  double offered_total = 0;
-  double record_carry = 0;  // fractional completions await a whole sample
-  bool shedding = false;
-  for (double t = 0; t < cfg.duration_us; t += dt) {
-    if (cfg.admission) {
-      if (!shedding && backlog >= cfg.shed_enter_occupancy) {
-        shedding = true;
-      } else if (shedding && backlog <= cfg.shed_exit_occupancy) {
-        shedding = false;
-      }
-    }
-    offered_total += arrivals_per_step;
-    if (shedding) {
-      shed += arrivals_per_step;
-    } else {
-      backlog += arrivals_per_step;
-    }
-    const double eff = capacity / (1.0 + cfg.overload_penalty * backlog);
-    const double served = std::min(backlog, eff * dt);
-    backlog -= served;
-    completed += served;
-    if (served > 0) {
-      // Sojourn of the fluid served this step: unloaded path plus the time
-      // the queue ahead of it takes to drain at the current rate.
-      const double sojourn = cfg.base_latency_us + backlog / eff;
-      record_carry += served;
-      const double whole = std::floor(record_carry);
-      if (whole >= 1.0) {
-        pt.latency.record_n(sojourn, static_cast<std::uint64_t>(whole));
-        record_carry -= whole;
-      }
-    }
-  }
-  // commands/us -> Kcps is x1e3.
-  pt.goodput_kcps = completed / cfg.duration_us * 1e3;
-  pt.shed_kcps = shed / cfg.duration_us * 1e3;
-  pt.shed_fraction = offered_total > 0 ? shed / offered_total : 0;
-  pt.final_backlog = backlog;
-  pt.p50_latency_us = pt.latency.quantile(0.50);
-  pt.p95_latency_us = pt.latency.quantile(0.95);
-  pt.p99_latency_us = pt.latency.quantile(0.99);
-  return pt;
-}
-
-std::size_t knee_index(const std::vector<OverloadPoint>& points,
-                       double headroom) {
-  std::size_t knee = 0;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (points[i].goodput_kcps >= headroom * points[i].offered_kcps) knee = i;
-  }
-  return knee;
-}
-
-RecoveryPoint simulate_recovery(const RecoveryConfig& cfg) {
-  RecoveryPoint pt;
-  pt.downtime_us = cfg.downtime_us;
-  const double offered = cfg.offered_kcps * 1e-3;    // commands/us
-  const double capacity = cfg.capacity_kcps * 1e-3;
-  const double install_rate = cfg.install_kcps * 1e-3;
-  const double total_at_crash = offered * cfg.uptime_us;
-  // The last checkpoint cut before the crash bounds the replay suffix.
-  double covered = 0;
-  if (cfg.snapshot && cfg.checkpoint_interval_cmds > 0) {
-    covered = std::floor(total_at_crash / cfg.checkpoint_interval_cmds) *
-              cfg.checkpoint_interval_cmds;
-  }
-  pt.installed_cmds = covered;
-  pt.install_us = install_rate > 0 ? covered / install_rate : 0;
-  // Suffix at the moment replay starts: the residual since the checkpoint,
-  // plus everything the live replicas decided during the outage and the
-  // install phase.
-  pt.replayed_cmds = (total_at_crash - covered) +
-                     offered * (cfg.downtime_us + pt.install_us);
-  const double drain = capacity - offered;
-  if (drain <= 0) {
-    // Replay can never outpace the live load: unrecoverable.
-    pt.replay_us = cfg.max_recovery_us;
-    pt.recovery_us = cfg.max_recovery_us;
-    pt.recovered = false;
-    return pt;
-  }
-  pt.replay_us = pt.replayed_cmds / drain;
-  pt.recovery_us = pt.install_us + pt.replay_us;
-  pt.recovered = pt.recovery_us <= cfg.max_recovery_us;
-  return pt;
-}
-
 }  // namespace psmr::sim

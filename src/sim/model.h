@@ -80,119 +80,4 @@ struct SimResult {
 /// Runs one closed-loop simulation.  Deterministic for a fixed config.
 SimResult simulate(const SimConfig& cfg);
 
-// --- Open-loop overload model (fig9: latency/goodput vs offered rate) -----
-//
-// A deterministic fluid-limit view of the system past its saturation knee.
-// The closed-loop simulator above cannot exhibit overload (its window caps
-// the backlog by construction), so fig9 models the open-loop population as
-// a fluid: arrivals at the offered rate feed an in-ring backlog B, and the
-// service path drains it at an *effective* capacity
-//
-//     eff(B) = capacity / (1 + overload_penalty * B)
-//
-// — every queued command makes the ones behind it slower (growing pending
-// maps and batch backlogs, retransmission storms), which is what turns
-// saturation into congestion collapse when nothing sheds.  With the
-// admission valve on, arrivals are shed while B sits above the
-// shed_enter/shed_exit hysteresis band (mirroring smr::AdmissionController
-// on the real runtime), capping B and so bounding both the latency tail and
-// the goodput loss.  Completed fluid records sojourn time
-// base_latency + B/eff into the histogram, so per-rate percentiles fall out.
-
-struct OverloadConfig {
-  /// Saturated service capacity, Kcps (KvCosts pins the single-stream SMR
-  /// pipeline at ~842 Kcps; see calibration.h).
-  double capacity_kcps = 842.0;
-  /// Unloaded command latency: two client<->cluster hops plus one ordering
-  /// round (NetCosts one_way*2 + order_base).
-  double base_latency_us = 210.0;
-  /// Congestion-collapse coefficient (1/commands): how much each queued
-  /// command degrades effective capacity.
-  double overload_penalty = 2.0e-5;
-  /// Admission valve (mirrors smr::AdmissionConfig's occupancy thresholds).
-  bool admission = false;
-  double shed_enter_occupancy = 8192;
-  double shed_exit_occupancy = 4096;
-  /// Virtual measured interval and fluid integration step.  Fixed regardless
-  /// of bench --quick: the CI gate and sim_calibration_test must agree.
-  double duration_us = 200'000;
-  double step_us = 50.0;
-};
-
-struct OverloadPoint {
-  double offered_kcps = 0;
-  double goodput_kcps = 0;   // completed commands per virtual second
-  double shed_kcps = 0;      // admission-shed arrivals per virtual second
-  double shed_fraction = 0;  // shed / offered
-  double p50_latency_us = 0;
-  double p95_latency_us = 0;
-  double p99_latency_us = 0;
-  double final_backlog = 0;  // commands still in-ring when the window closed
-  util::Histogram latency;
-};
-
-/// Runs the fluid model at one offered rate.  Deterministic.
-OverloadPoint simulate_overload(const OverloadConfig& cfg,
-                                double offered_kcps);
-
-/// Knee of an offered-rate sweep (points sorted by offered rate): index of
-/// the last point whose goodput still covers `headroom` of its offered rate
-/// (0 when even the first point is past saturation).
-std::size_t knee_index(const std::vector<OverloadPoint>& points,
-                       double headroom);
-
-// --- Recovery model (fig10: time to rejoin after a crash) -----------------
-//
-// A deterministic fluid view of replica catch-up (the checkpoint/truncation
-// machinery of smr/snapshot.h and replica_psmr.h).  A replica that ran for
-// `uptime_us` under a sustained load crashes, stays down for `downtime_us`,
-// and restarts.  With snapshots it installs the latest checkpoint (bulk
-// state load at `install_kcps`, much faster than re-execution) and then
-// replays only the suffix: the residual since the last checkpoint plus
-// everything decided while it was down or installing.  Without snapshots it
-// replays the entire log from instance 0.  Either way the suffix drains at
-// (capacity - offered): replay competes with the live load the replica must
-// also keep up with.  Recovery completes when the backlog hits zero — the
-// replica is converged with its peers and serving at full throughput.
-//
-// The model is what fig10 sweeps and what RecoveryCalibration pins: recovery
-// time scales with downtime (bounded multiple) when checkpoints bound the
-// suffix, and degrades to full-history replay — proportional to uptime, not
-// downtime — when they don't.
-
-struct RecoveryConfig {
-  /// Replica execution/replay capacity, Kcps (KvCosts' SMR pipeline).
-  double capacity_kcps = 842.0;
-  /// Sustained offered load, Kcps (must stay below capacity to recover).
-  double offered_kcps = 400.0;
-  /// Virtual run time before the crash.
-  double uptime_us = 10'100'000;
-  /// Crash-to-restart gap.
-  double downtime_us = 500'000;
-  /// Commands between periodic checkpoints (CheckpointOptions
-  /// ::interval_commands); bounds the residual suffix a restart replays.
-  double checkpoint_interval_cmds = 200'000;
-  /// Snapshot install rate, Kcps-equivalent: bulk-loading a key is ~10x
-  /// cheaper than executing the command that produced it (no ordering, no
-  /// marshaling, ascending B+-tree build).
-  double install_kcps = 8'420.0;
-  /// False models the no-checkpoint baseline: full log replay.
-  bool snapshot = true;
-  /// Horizon after which the model declares the replica unrecoverable.
-  double max_recovery_us = 120'000'000;
-};
-
-struct RecoveryPoint {
-  double downtime_us = 0;
-  double installed_cmds = 0;   // commands-equivalent covered by the snapshot
-  double replayed_cmds = 0;    // log suffix re-executed after install
-  double install_us = 0;       // snapshot transfer + bulk load
-  double replay_us = 0;        // suffix drain at (capacity - offered)
-  double recovery_us = 0;      // install + replay: restart -> converged
-  bool recovered = false;      // recovery_us within the horizon
-};
-
-/// Evaluates the recovery model at one configuration.  Deterministic.
-RecoveryPoint simulate_recovery(const RecoveryConfig& cfg);
-
 }  // namespace psmr::sim

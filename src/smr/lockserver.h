@@ -60,7 +60,7 @@ class LockServer {
       resp.client = cmd->client;
       resp.seq = cmd->seq;
       resp.payload = service_.execute(*cmd);
-      executed_.fetch_add(1, std::memory_order_relaxed);
+      executed_.fetch_add(1, std::memory_order_release);
       send(cmd->reply_to, transport::MsgType::kSmrResponse, resp.encode());
     }
 

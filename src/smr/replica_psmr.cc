@@ -96,7 +96,7 @@ void PsmrReplica::install_frame(const SnapshotFrame& frame) {
       dedup_[i][d.client] = LastExec{d.seq, d.response};
     }
   }
-  executed_.store(frame.executed, std::memory_order_relaxed);
+  executed_.store(frame.executed, std::memory_order_release);
   {
     std::lock_guard lock(ckpt_mu_);
     latest_ckpt_ = encode_snapshot(frame);
@@ -206,7 +206,7 @@ void PsmrReplica::execute_run(std::vector<Command>& run, std::size_t worker) {
   // The executed run is the natural flush unit: its replies leave as one
   // frame per destination proxy before the worker blocks on its stream.
   replies_->flush_all(reply_node_);
-  executed_.fetch_add(run.size(), std::memory_order_relaxed);
+  executed_.fetch_add(run.size(), std::memory_order_release);
   // Periodic checkpoint trigger, counted on worker 0 only (one counter per
   // replica; every replica triggers, and duplicate markers collapse at the
   // barrier when nothing executed in between).

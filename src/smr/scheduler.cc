@@ -129,7 +129,7 @@ void SchedulerCore::execute_run(std::vector<Command>& run) {
   // Batch boundary: the run's replies go on the wire before this worker
   // reports idle, so drain() never completes with responses still spooled.
   replies_->flush_all(reply_node_);
-  executed_.fetch_add(run.size(), std::memory_order_relaxed);
+  executed_.fetch_add(run.size(), std::memory_order_release);
   {
     std::lock_guard lock(idle_mu_);
     in_flight_ -= static_cast<std::int64_t>(run.size());

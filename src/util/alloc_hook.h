@@ -11,7 +11,7 @@
 // Users: tests/test_support.cc (so any test can assert allocation counts)
 // and bench/bench_common.h (each bench binary is a single translation
 // unit), which is how bench_micro_codec measures allocs-per-command for
-// BENCH_alloc.json and the AllocCalibration record in sim/calibration.h.
+// BENCH_alloc.json.
 //
 // The hook stays inert under ASan/TSan: the sanitizers interpose the
 // allocator themselves, and replacing operator new underneath them would

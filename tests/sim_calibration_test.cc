@@ -1,7 +1,9 @@
-// Calibration coverage (sim/calibration.h + sim/engine.h): the service-time
-// constants must round-trip through the models back to the paper numbers
-// they were derived from, and the event calendar must behave exactly as the
-// models assume (monotonic time, FIFO ties, past-event clamping).
+// Simulator calibration coverage (sim/calibration.h + sim/engine.h): the
+// paper-derived service-time constants must round-trip through the
+// closed-loop simulator back to the paper numbers they were derived from,
+// and the event calendar must behave exactly as the simulator assumes
+// (monotonic time, FIFO ties, past-event clamping).  Measured records of the
+// live runtime are not kept here; CI re-measures them from the benches.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -94,91 +96,6 @@ TEST(Calibration, NetFsSingleThreadCostsInvertToSectionVIIH) {
   EXPECT_NEAR(1e3 / write_us, 110.0, 110.0 * 0.05);
 }
 
-// --- Measured B+-tree trajectory (PR 3) ----------------------------------
-//
-// BtreeCalibration pins the bench_micro_btree numbers for the
-// cache-conscious engine; CI's bench smoke-run re-measures them.  These
-// tests keep the constants honest relative to each other and to the PR's
-// acceptance target.
-
-TEST(Calibration, BtreeLayoutSpeedupMeetsPr3Target) {
-  BtreeCalibration bt;
-  // Acceptance: >= 1.5x lower ns/op for random find at 10M keys vs the
-  // seed layout, delivered by the batched (multi-read) execution path on
-  // the deep-memory reference host; the single-lookup path must not
-  // regress at 10M and roughly doubles at 1M.
-  EXPECT_GE(bt.batch_speedup(), 1.5);
-  EXPECT_LE(bt.batch_speedup(), 20.0);  // sanity: it is still a B+-tree
-  EXPECT_GE(bt.layout_speedup(), 1.0);
-  EXPECT_GE(bt.find_1m_ns_seed / bt.find_1m_ns, 1.5);
-  // Updates ride the same descent as finds at the same scale.
-  EXPECT_NEAR(bt.update_1m_ns, bt.find_1m_ns, bt.find_1m_ns * 0.35);
-}
-
-TEST(Calibration, ExecPipelineRatioMeetsPr4TargetAndStaysPhysical) {
-  ExecCalibration ec;
-  BtreeCalibration bt;
-  // Acceptance: the batch-aware execution API must carry >= 1.3x of the
-  // tree-level batching win through the whole replica pipeline.
-  EXPECT_GE(ec.batched_ratio(), 1.3);
-  // The ratio is bounded by the two per-command costs batching removes: the
-  // tree's dependent miss chains (find-path ratio) and, since the PR 5
-  // response refactor, the per-reply wire send (a 16-command run leaves as
-  // one frame).  The run-length bound caps the latter at run_length, but a
-  // loose physical ceiling is the product of both effects.
-  EXPECT_LE(ec.batched_ratio(),
-            (bt.find_10m_ns / bt.find_batch_10m_ns) * 2.0);
-  // The sequential pipeline cannot be faster than the bare tree descent
-  // alone would allow (sanity on the Kcps scale of the record).
-  EXPECT_LT(ec.pipeline_seq_kcps, 1e3 / (bt.find_10m_ns / 1e3));
-  EXPECT_GT(ec.mean_commands_per_batch, 8.0);
-}
-
-TEST(Calibration, ResponseCoalescingRecordMeetsPr5Targets) {
-  ResponseCalibration rc;
-  // Acceptance: at client window >= 16 the coalesced config must put at
-  // least 4 responses on the wire per message, and coalescing must never
-  // cost deployment throughput.
-  EXPECT_GE(rc.responses_per_message, 4.0);
-  // ...but a frame can never carry more than the reply spool's
-  // per-destination response cap (ReplyCaps::max_responses default).
-  EXPECT_LE(rc.responses_per_message, 64.0);
-  EXPECT_GE(rc.coalesced_ratio(), 1.0);
-  // On the one-core reference host ordering dominates the deployment, so
-  // the send-cost win stays modest; a larger ratio here means the record
-  // was measured wrong (or the host changed — re-pin it).
-  EXPECT_LE(rc.coalesced_ratio(), 1.5);
-}
-
-TEST(Calibration, AllocRecordMeetsPr10Targets) {
-  AllocCalibration ac;
-  // Acceptance: the pooled hot path keeps steady-state heap traffic at or
-  // under one allocation per ten commands (measured: one per 64-command
-  // batch), down from the seed chain's >= 3 per command.
-  EXPECT_LE(ac.pooled_allocs_per_cmd, ac.max_pooled_allocs_per_cmd);
-  EXPECT_GE(ac.buffer_allocs_per_cmd, ac.min_buffer_allocs_per_cmd);
-  EXPECT_GE(ac.reduction(), 30.0);
-  // The pooled chain still pays Batch::decode's commands vector — it cannot
-  // be literally allocation-free, so a 0 here means the measurement broke
-  // (hook inert, or the bench measured the wrong leg).
-  EXPECT_GT(ac.pooled_allocs_per_cmd, 0.0);
-  // End-to-end: the pooled + pipelined deployment must hold the PR-8
-  // throughput record (>= 1.0x measured; the CI floor carries noise slack).
-  ResponseCalibration rc;
-  EXPECT_GE(ac.deployment_spsmr_kcps, rc.deployment_coalesced_kcps);
-  EXPECT_GT(ac.min_deployment_ratio_vs_record, 0.0);
-  EXPECT_LE(ac.min_deployment_ratio_vs_record, 1.0);
-}
-
-TEST(Calibration, ScaledExecOrderingIsConsistent) {
-  BtreeCalibration bt;
-  KvCosts kv;
-  // Scaling can only reduce the paper-calibrated execution cost, and the
-  // batched path must be the cheaper of the two.
-  EXPECT_LE(bt.scaled_exec(kv), kv.exec);
-  EXPECT_LT(bt.scaled_exec_batched(kv), bt.scaled_exec(kv));
-}
-
 // --- Round-trips through the full simulator ------------------------------
 
 SimConfig quick_cfg(Tech tech, int workers) {
@@ -216,24 +133,6 @@ TEST(Calibration, SimulatedLatencyFloorsAtNetworkConstants) {
   EXPECT_LE(r.avg_latency_us, ceiling_us);
 }
 
-TEST(Calibration, SimulatorTracksMeasuredBtreeCost) {
-  // The simulator driven with the scaled execution cost must saturate at
-  // the correspondingly scaled throughput — i.e. it tracks the real bench
-  // rather than only the paper's 2008 numbers.  Batched reads (multi-read
-  // replicas) would run the same way with scaled_exec_batched.
-  BtreeCalibration bt;
-  SimConfig cfg = quick_cfg(Tech::kSmr, 1);
-  cfg.kv.exec = bt.scaled_exec();
-  auto r = simulate(cfg);
-  double expect_kcps = 1e3 / (cfg.kv.exec + cfg.kv.deliver_single);
-  EXPECT_NEAR(r.kcps, expect_kcps, expect_kcps * 0.12);
-  // And the scaled cost stays within the derivation's own bound: the
-  // original 842 Kcps inversion times the measured layout speedup.
-  double seed_kcps = 1e3 / (KvCosts{}.exec + KvCosts{}.deliver_single);
-  EXPECT_GE(expect_kcps, seed_kcps);
-  EXPECT_LE(expect_kcps, seed_kcps * bt.batch_speedup());
-}
-
 TEST(Calibration, ShardSweepGateHoldsInTheSimulator) {
   // The CI gate over BENCH_shard.json (bench_fig5_scalability) asserts that
   // P-SMR throughput at gate_shards is >= min_scaling x the single-shard
@@ -258,160 +157,6 @@ TEST(Calibration, ShardSweepGateHoldsInTheSimulator) {
   EXPECT_GT(sc.conflict_rate, 0.0);
   EXPECT_LT(sc.conflict_rate, 0.5);
   EXPECT_GT(sc.gate_shards, sc.baseline_shards);
-}
-
-TEST(Calibration, AdmissionGateHoldsInTheOverloadModel) {
-  // The CI gate over BENCH_latency.json (bench_fig9_latency_rate) asserts
-  // that at overload_factor x the knee's offered rate the admission valve
-  // holds goodput >= min_goodput_vs_knee x the knee goodput with a bounded
-  // p99, while the unvalved system collapses below max_goodput_off_vs_knee.
-  // The fluid model is deterministic with a fixed virtual duration, so the
-  // exact same relations must hold here, bench flags or not.
-  AdmissionCalibration ac;
-  OverloadConfig base;
-  base.capacity_kcps = ac.capacity_kcps;
-  base.overload_penalty = ac.overload_penalty;
-  base.shed_enter_occupancy = ac.shed_enter_occupancy;
-  base.shed_exit_occupancy = ac.shed_exit_occupancy;
-
-  // The bench's fixed sweep grid (fractions of calibrated capacity).
-  std::vector<OverloadPoint> off_curve;
-  for (double frac : {0.25, 0.5, 0.7, 0.8, 0.9, 0.95, 1.0, 1.1, 1.25, 1.5,
-                      1.75, 2.0}) {
-    auto cfg = base;
-    cfg.admission = false;
-    off_curve.push_back(simulate_overload(cfg, frac * ac.capacity_kcps));
-  }
-  std::size_t knee = knee_index(off_curve, ac.knee_headroom);
-  const auto& knee_pt = off_curve[knee];
-  // The knee sits where the calibration pinned it.
-  EXPECT_NEAR(knee_pt.offered_kcps, ac.knee_offered_kcps,
-              ac.knee_offered_kcps * 0.01);
-  EXPECT_NEAR(knee_pt.goodput_kcps, ac.knee_goodput_kcps,
-              ac.knee_goodput_kcps * 0.01);
-
-  const double probe = ac.overload_factor * knee_pt.offered_kcps;
-  auto off_cfg = base;
-  off_cfg.admission = false;
-  auto probe_off = simulate_overload(off_cfg, probe);
-  auto on_cfg = base;
-  on_cfg.admission = true;
-  auto probe_on = simulate_overload(on_cfg, probe);
-
-  // The three CI gates, asserted from the model itself.
-  EXPECT_GE(probe_on.goodput_kcps,
-            ac.min_goodput_vs_knee * knee_pt.goodput_kcps)
-      << "admission-on goodput at 2x knee fell below the CI gate";
-  EXPECT_LE(probe_off.goodput_kcps,
-            ac.max_goodput_off_vs_knee * knee_pt.goodput_kcps)
-      << "unvalved overload no longer collapses — the gate's contrast is gone";
-  EXPECT_LE(probe_on.p99_latency_us, ac.max_p99_on_us)
-      << "admission-on p99 at 2x knee is no longer bounded";
-
-  // And the pinned record itself stays within 1% of what the model yields.
-  EXPECT_NEAR(probe_on.goodput_kcps, ac.on_goodput_2x_kcps,
-              ac.on_goodput_2x_kcps * 0.01);
-  EXPECT_NEAR(probe_off.goodput_kcps, ac.off_goodput_2x_kcps,
-              ac.off_goodput_2x_kcps * 0.01);
-  EXPECT_NEAR(probe_on.p99_latency_us, ac.on_p99_2x_us,
-              ac.on_p99_2x_us * 0.02);
-  EXPECT_NEAR(probe_off.p99_latency_us, ac.off_p99_2x_us,
-              ac.off_p99_2x_us * 0.02);
-
-  // Sanity on the shape: the valve sheds a substantial fraction at 2x
-  // knee (roughly half the offered load), and the unvalved run ends with a
-  // far larger backlog than the valve's cap.
-  EXPECT_GT(probe_on.shed_fraction, 0.3);
-  EXPECT_LT(probe_on.final_backlog, 2.0 * ac.shed_enter_occupancy);
-  EXPECT_GT(probe_off.final_backlog, 10.0 * ac.shed_enter_occupancy);
-}
-
-TEST(Calibration, OverloadModelIsStableBelowTheKnee) {
-  // Below saturation the valve must be invisible: identical goodput, no
-  // shedding, latency at the unloaded floor.
-  AdmissionCalibration ac;
-  OverloadConfig cfg;
-  cfg.capacity_kcps = ac.capacity_kcps;
-  cfg.overload_penalty = ac.overload_penalty;
-  for (double frac : {0.25, 0.5, 0.8}) {
-    auto off_cfg = cfg;
-    off_cfg.admission = false;
-    auto off = simulate_overload(off_cfg, frac * ac.capacity_kcps);
-    auto on_cfg = cfg;
-    on_cfg.admission = true;
-    auto on = simulate_overload(on_cfg, frac * ac.capacity_kcps);
-    EXPECT_NEAR(off.goodput_kcps, frac * ac.capacity_kcps,
-                frac * ac.capacity_kcps * 0.01);
-    EXPECT_EQ(on.shed_fraction, 0.0);
-    EXPECT_NEAR(on.goodput_kcps, off.goodput_kcps, 1e-9);
-    EXPECT_NEAR(off.p50_latency_us, cfg.base_latency_us,
-                cfg.base_latency_us * 0.1);
-  }
-}
-
-TEST(Calibration, RecoveryGateHoldsInTheFluidModel) {
-  // The CI gate over BENCH_recovery.json (bench_fig10_recovery) asserts
-  // that at the calibrated probe downtime a snapshot-based restart
-  // reconverges within max_recovery_vs_downtime x the downtime, while a
-  // full-history replay takes at least min_full_replay_ratio x longer.
-  // The recovery model is closed form and deterministic, so the exact same
-  // relations must hold here, bench flags or not.
-  RecoveryCalibration rc;
-  RecoveryConfig base;
-  base.capacity_kcps = rc.capacity_kcps;
-  base.offered_kcps = rc.offered_kcps;
-  base.uptime_us = rc.uptime_us;
-  base.checkpoint_interval_cmds = rc.checkpoint_interval_cmds;
-  base.install_kcps = rc.install_kcps;
-  base.downtime_us = rc.probe_downtime_us;
-
-  auto snap_cfg = base;
-  snap_cfg.snapshot = true;
-  auto snap = simulate_recovery(snap_cfg);
-  auto full_cfg = base;
-  full_cfg.snapshot = false;
-  auto full = simulate_recovery(full_cfg);
-
-  ASSERT_TRUE(snap.recovered);
-  ASSERT_TRUE(full.recovered);
-
-  // The two CI gates, asserted from the model itself.
-  EXPECT_LE(snap.recovery_us,
-            rc.max_recovery_vs_downtime * rc.probe_downtime_us)
-      << "snapshot recovery at the probe exceeds the CI gate";
-  EXPECT_GE(full.recovery_us, rc.min_full_replay_ratio * snap.recovery_us)
-      << "full replay no longer dominates — the gate's contrast is gone";
-
-  // And the pinned record stays within 1% of what the model yields.
-  EXPECT_NEAR(snap.recovery_us, rc.snapshot_recovery_us,
-              rc.snapshot_recovery_us * 0.01);
-  EXPECT_NEAR(full.recovery_us, rc.full_replay_recovery_us,
-              rc.full_replay_recovery_us * 0.01);
-
-  // Shape sanity.  Snapshot install covers every whole checkpoint interval
-  // of the pre-crash history, so the replayed suffix is bounded by one
-  // interval plus the outage backlog — far less than the full history.
-  EXPECT_LT(snap.replayed_cmds, full.replayed_cmds / 2);
-  EXPECT_GT(snap.installed_cmds, 0.0);
-  EXPECT_EQ(full.installed_cmds, 0.0);
-  EXPECT_EQ(full.install_us, 0.0);
-
-  // Monotonicity across the bench's sweep grid: longer downtime never
-  // shortens recovery, and every snapshot point drains (capacity > offered).
-  double prev = 0;
-  for (double dt : {100'000.0, 250'000.0, 500'000.0, 1e6, 2e6}) {
-    auto cfg = base;
-    cfg.downtime_us = dt;
-    auto pt = simulate_recovery(cfg);
-    EXPECT_TRUE(pt.recovered) << "downtime " << dt;
-    EXPECT_GE(pt.recovery_us, prev);
-    prev = pt.recovery_us;
-  }
-
-  // An offered load at/above capacity can never drain the replay backlog.
-  auto swamped = base;
-  swamped.offered_kcps = swamped.capacity_kcps;
-  EXPECT_FALSE(simulate_recovery(swamped).recovered);
 }
 
 TEST(Calibration, ExecCostScalesSaturatedThroughputInversely) {
