@@ -1,12 +1,14 @@
-// Ablation: deterministic-merge SKIP interval (real runtime).
+// Ablation: merge lease length, RingConfig::skip_interval (real runtime).
 //
 // P-SMR's per-thread delivery merges the worker's own ring with the shared
-// g_all ring; when one ring is idle the merge stalls until that ring's
-// coordinator decides a SKIP (Multi-Ring Paxos mechanism).  The skip period
-// is therefore a latency floor for traffic on the *other* ring, while a
-// short period multiplies protocol messages.  This bench measures the
-// trade-off on the real stack: mean client latency and the skip message
-// count for a fixed trickle of keyed commands.
+// g_all ring on clock slots.  A command on one ring waits until the other
+// ring has leased past its slot; the idle ring proposes that lease SKIP on
+// demand, when the busy ring's coordinator nudges it.  A longer lease
+// covers more of the peer's traffic per SKIP, so skip traffic shrinks,
+// while a command that lands right after its own ring's lease is ordered
+// after the lease end.  This bench measures the trade-off on the real
+// stack: mean client latency and the skip count for a fixed trickle of
+// keyed commands.
 #include <thread>
 
 #include "bench_common.h"
@@ -17,7 +19,7 @@ using namespace psmr::bench;
 
 int main(int argc, char** argv) {
   Options opt = Options::parse(argc, argv);
-  std::printf("=== Ablation: merge SKIP interval (real runtime) ===\n");
+  std::printf("=== Ablation: merge lease length (real runtime) ===\n");
   std::printf("%-14s %12s %12s %14s\n", "skip_us", "mean lat(us)",
               "p99 lat(us)", "skips decided");
 
@@ -43,7 +45,7 @@ int main(int argc, char** argv) {
                 lat.quantile(0.99), skips);
     d.stop();
   }
-  std::printf("(expected: latency grows with the skip period; skip traffic "
-              "shrinks)\n");
+  std::printf("(expected: skip traffic shrinks with the lease length; "
+              "latency stays near one round-trip)\n");
   return 0;
 }

@@ -19,7 +19,7 @@ Bus::Bus(transport::Network& net, BusConfig cfg)
   const bool merging = cfg_.num_groups > 1;
   paxos::RingConfig ring_cfg = cfg_.ring;
   if (merging && ring_cfg.skip_interval.count() == 0) {
-    // Merge needs idle rings to keep deciding SKIPs or delivery stalls.
+    // Merge needs idle rings to lease past their peers' slots.
     ring_cfg.skip_interval = std::chrono::microseconds(500);
   }
   if (!merging) {
@@ -34,6 +34,15 @@ Bus::Bus(transport::Network& net, BusConfig cfg)
   if (merging) {
     shared_ring_ = std::make_unique<paxos::Ring>(
         net_, static_cast<paxos::RingId>(cfg_.num_groups), ring_cfg);
+    // Worker g's merge reads ring g and the shared ring, so each worker
+    // ring nudges the shared ring and the shared ring nudges every worker
+    // ring.
+    std::vector<const paxos::Ring*> workers;
+    for (auto& r : rings_) {
+      r->set_merge_peers({shared_ring_.get()});
+      workers.push_back(r.get());
+    }
+    shared_ring_->set_merge_peers(workers);
   }
 }
 

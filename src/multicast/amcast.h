@@ -41,10 +41,10 @@ struct SubmitCaps {
 struct BusConfig {
   /// Number of worker groups k (the multiprogramming level).
   std::size_t num_groups = 1;
-  /// Ring tuning applied to every ring.  skip_interval is forced on for
-  /// worker rings and the shared ring whenever merging is in effect
-  /// (num_groups > 1), because deterministic merge needs idle rings to
-  /// keep deciding SKIPs.
+  /// Ring tuning applied to every ring.  skip_interval (the lease length)
+  /// is forced on for worker rings and the shared ring whenever merging is
+  /// in effect (num_groups > 1), because the merge needs idle rings to
+  /// lease past their peers' slots, and forced off otherwise.
   paxos::RingConfig ring;
   /// Submit spool caps.
   SubmitCaps submit_caps;
@@ -118,7 +118,8 @@ class Bus {
 
   /// Total commands decided across all rings (skips excluded).
   [[nodiscard]] std::uint64_t decided_commands() const;
-  /// Total SKIP batches decided across all rings (merge overhead metric).
+  /// Total SKIP batches decided across all rings (merge overhead metric:
+  /// on-demand leases plus the idle fallback).
   [[nodiscard]] std::uint64_t decided_skips() const;
 
   /// Batching/consensus counters for group g's ring.

@@ -11,17 +11,9 @@ using transport::MsgType;
 namespace chrono = std::chrono;
 
 namespace {
-chrono::microseconds pick_tick(const RingConfig& cfg) {
-  // With adaptive batching the effective timeout can shrink down to
-  // min_batch_timeout, so the tick must be fine enough to honor it.
-  auto base = cfg.adaptive_batching
-                  ? std::min(cfg.batch_timeout, cfg.min_batch_timeout)
-                  : cfg.batch_timeout;
-  auto tick = base / 2;
-  if (cfg.skip_interval.count() > 0) {
-    tick = std::min(tick, cfg.skip_interval / 2);
-  }
-  return std::max(tick, chrono::microseconds(50));
+/// A duration in slot units (microseconds).
+std::uint64_t slots(chrono::microseconds d) {
+  return static_cast<std::uint64_t>(d.count());
 }
 
 chrono::microseconds initial_batch_timeout(const RingConfig& cfg) {
@@ -34,6 +26,7 @@ chrono::microseconds initial_batch_timeout(const RingConfig& cfg) {
 Coordinator::Coordinator(transport::Network& net, RingId ring, RingConfig cfg,
                          std::vector<transport::NodeId> acceptors,
                          std::shared_ptr<LearnerRegistry> learners,
+                         std::shared_ptr<const MergePeers> peers,
                          std::uint32_t proposer_index,
                          std::uint64_t start_round)
     : Endpoint(net, "coord-ring" + std::to_string(ring) + "-p" +
@@ -42,13 +35,13 @@ Coordinator::Coordinator(transport::Network& net, RingId ring, RingConfig cfg,
       cfg_(std::move(cfg)),
       acceptors_(std::move(acceptors)),
       learners_(std::move(learners)),
+      peers_(std::move(peers)),
       proposer_index_(proposer_index),
-      tick_(pick_tick(cfg_)),
       round_(start_round),
       ballot_(make_ballot(start_round, proposer_index)),
       batch_timeout_(initial_batch_timeout(cfg_)) {
   stats_.batch_timeout_us = static_cast<std::uint64_t>(batch_timeout_.count());
-  skip_due_ = chrono::steady_clock::now() + cfg_.skip_interval;
+  last_submit_ = Clock::now();
   begin_prepare();
 }
 
@@ -71,6 +64,9 @@ void Coordinator::handle(transport::Message msg) {
       case MsgType::kPaxosNack:
         on_nack(r);
         break;
+      case MsgType::kPaxosCover:
+        on_cover(r.u64());
+        break;
       default:
         PSMR_WARN("coordinator " << name() << ": unexpected msg type "
                                  << msg.type);
@@ -85,7 +81,7 @@ void Coordinator::begin_prepare() {
   phase_ = Phase::kPreparing;
   promises_.clear();
   promised_values_.clear();
-  prepare_sent_ = chrono::steady_clock::now();
+  prepare_sent_ = Clock::now();
   util::PayloadWriter w(16);
   w.u64(ballot_);
   w.u64(0);  // learn everything; acceptors prune nothing in this prototype
@@ -103,7 +99,7 @@ void Coordinator::on_submit(util::Payload cmd) {
     ++stats_.submit_commands;
   }
   enqueue(std::move(cmd));
-  pump_proposals();
+  after_submit();
 }
 
 void Coordinator::on_submit_many(const util::Payload& payload) {
@@ -122,14 +118,25 @@ void Coordinator::on_submit_many(const util::Payload& payload) {
     ++stats_.submit_msgs;
     stats_.submit_commands += n;
   }
+  after_submit();
+}
+
+void Coordinator::after_submit() {
+  const auto now = Clock::now();
+  const Clock::duration cap = 4 * batch_timeout_;
+  submit_gap_ += (std::min(now - last_submit_, cap) - submit_gap_) / 8;
+  last_submit_ = now;
+  // Waiting batch_timeout is not expected to add another submit, so it
+  // would only delay this one.  The adaptive batcher keeps its own policy:
+  // at sparse load it deliberately waits longer.
+  if (!cfg_.adaptive_batching && submit_gap_ > batch_timeout_) {
+    seal_batch(SealReason::kAtOnce);
+  }
   pump_proposals();
 }
 
 void Coordinator::enqueue(util::Payload cmd) {
-  if (pending_.empty()) batch_started_ = chrono::steady_clock::now();
-  // Real traffic is about to decide and advance the merge rotation on its
-  // own; push the skip deadline out one full interval.
-  skip_due_ = chrono::steady_clock::now() + cfg_.skip_interval;
+  if (pending_.empty()) batch_started_ = Clock::now();
   pending_bytes_ += cmd.size();
   pending_.push_back(std::move(cmd));
   if (pending_bytes_ >= cfg_.max_batch_bytes) {
@@ -144,11 +151,10 @@ void Coordinator::seal_batch(SealReason reason) {
   const std::size_t batch_bytes = pending_bytes_;
   const std::size_t batch_commands = pending_.size();
   Batch b;
-  b.skip = false;
   b.commands = std::move(pending_);
   pending_.clear();
   pending_bytes_ = 0;
-  sealed_.push_back(b.encode());
+  nudge_peers(queue_batch(b, now_slot()));
   adapt_timeout(reason, batch_bytes, batch_commands);
   {
     std::lock_guard lock(stats_mu_);
@@ -159,10 +165,67 @@ void Coordinator::seal_batch(SealReason reason) {
       case SealReason::kBytes: ++stats_.sealed_on_bytes; break;
       case SealReason::kCount: ++stats_.sealed_on_count; break;
       case SealReason::kTimeout: ++stats_.sealed_on_timeout; break;
+      case SealReason::kAtOnce: ++stats_.sealed_at_once; break;
     }
     stats_.batch_timeout_us =
         static_cast<std::uint64_t>(batch_timeout_.count());
   }
+}
+
+std::uint64_t Coordinator::queue_batch(Batch& b, std::uint64_t slot) {
+  b.slot = std::max(slot, last_slot_ + 1);
+  last_slot_ = b.slot;
+  sealed_.push_back(b.encode());
+  return b.slot;
+}
+
+void Coordinator::queue_skip(std::uint64_t target) {
+  Batch skip;
+  skip.skip = true;
+  queue_batch(skip, std::max(now_slot() + slots(cfg_.skip_interval), target));
+  pump_proposals();
+}
+
+void Coordinator::nudge_peers(std::uint64_t slot) {
+  const auto& peers = peers_->coordinators;
+  if (peers.empty() || cfg_.skip_interval.count() == 0) return;
+  cover_sent_.resize(peers.size(), 0);
+  // The target runs half a lease past the slot, so later slots up to the
+  // target need no nudge of their own: at most one nudge per peer per
+  // half-lease.
+  const std::uint64_t target = slot + slots(cfg_.skip_interval) / 2;
+  util::Payload cover;
+  for (std::size_t p = 0; p < peers.size(); ++p) {
+    if (slot <= cover_sent_[p]) continue;
+    if (cover.size() == 0) {
+      util::PayloadWriter w(8);
+      w.u64(target);
+      cover = w.take();
+    }
+    cover_sent_[p] = target;
+    send(peers[p]->load(std::memory_order_relaxed), MsgType::kPaxosCover,
+         cover);
+  }
+}
+
+void Coordinator::on_cover(std::uint64_t target) {
+  if (phase_ != Phase::kSteady || cfg_.skip_interval.count() == 0) return;
+  if (last_slot_ < target) queue_skip(target);
+}
+
+std::uint64_t Coordinator::now_slot() const {
+  const auto us = chrono::duration_cast<chrono::microseconds>(
+                      Clock::now().time_since_epoch())
+                      .count();
+  return static_cast<std::uint64_t>(
+      us + clock_skew_us_.load(std::memory_order_relaxed));
+}
+
+Coordinator::Clock::time_point Coordinator::slot_time(
+    std::uint64_t slot) const {
+  return Clock::time_point(chrono::microseconds(
+      static_cast<std::int64_t>(slot) -
+      clock_skew_us_.load(std::memory_order_relaxed)));
 }
 
 void Coordinator::adapt_timeout(SealReason reason, std::size_t batch_bytes,
@@ -205,13 +268,14 @@ void Coordinator::propose(Instance inst, util::Payload value) {
   auto [it, inserted] = in_flight_.try_emplace(inst);
   if (!inserted) return;
   it->second.value = std::move(value);
+  it->second.backoff = cfg_.rto;
   send_accepts(inst);
 }
 
 void Coordinator::send_accepts(Instance inst) {
   auto it = in_flight_.find(inst);
   if (it == in_flight_.end()) return;
-  it->second.last_send = chrono::steady_clock::now();
+  it->second.resend_at = Clock::now() + it->second.backoff;
   // One pooled ACCEPT frame, shared across acceptors (refcount bumps, not
   // per-destination copies).
   util::PayloadWriter w(8 + 8 + 4 + it->second.value.size());
@@ -283,9 +347,6 @@ void Coordinator::on_promise(transport::NodeId from, util::Reader& r) {
   // ring), never restart numbering below the floor.
   next_instance_ = std::max(next_instance_, prepare_floor_);
   promised_values_.clear();
-  // A coordinator entering steady state (initial election or failover)
-  // owes no skips for the time it spent in Phase 1.
-  skip_due_ = chrono::steady_clock::now() + cfg_.skip_interval;
   pump_proposals();
   PSMR_DEBUG("ring " << ring_ << ": steady at ballot " << ballot_
                      << ", next instance " << next_instance_);
@@ -320,15 +381,6 @@ void Coordinator::decide(Instance inst) {
     send(a, MsgType::kPaxosDecide, payload);
   }
   if (auto batch = Batch::decode(it->second.value)) {
-    // A decided command batch advances the merge rotation by itself, so the
-    // next skip is owed one interval from now.  A decided *skip* must NOT
-    // touch the schedule: refreshing it here is exactly the old stall — the
-    // cadence degraded to one skip per (interval + decide round-trip), and
-    // under CPU contention the round-trip stretched until merge-based
-    // delivery crawled behind client retransmission timeouts.
-    if (!batch->skip) {
-      skip_due_ = chrono::steady_clock::now() + cfg_.skip_interval;
-    }
     std::lock_guard lock(stats_mu_);
     ++stats_.decided_batches;
     if (batch->skip) {
@@ -351,15 +403,29 @@ void Coordinator::on_nack(util::Reader& r) {
   begin_prepare();
 }
 
-void Coordinator::on_tick() {
-  auto now = chrono::steady_clock::now();
-  if (now.time_since_epoch().count() <
-      stall_until_ns_.load(std::memory_order_relaxed)) {
-    return;  // test hook: simulated tick starvation
+std::optional<Coordinator::Clock::time_point> Coordinator::next_deadline() {
+  const Clock::time_point stall{
+      Clock::duration(stall_until_ns_.load(std::memory_order_relaxed))};
+  if (stall > Clock::now()) return stall;
+  if (phase_ == Phase::kPreparing) return prepare_sent_ + cfg_.rto;
+  std::optional<Clock::time_point> due;
+  const auto consider = [&](Clock::time_point t) {
+    if (!due || t < *due) due = t;
+  };
+  if (!pending_.empty()) consider(batch_started_ + batch_timeout_);
+  for (const auto& [inst, fl] : in_flight_) consider(fl.resend_at);
+  if (cfg_.skip_interval.count() > 0 && idle()) {
+    consider(slot_time(last_slot_ + slots(cfg_.rto)));
   }
+  return due;
+}
+
+void Coordinator::on_deadline() {
+  const auto now = Clock::now();
+  if (stalled(now)) return;  // test hook: simulated timer starvation
 
   if (phase_ == Phase::kPreparing) {
-    if (now - prepare_sent_ > cfg_.rto) begin_prepare();
+    if (now - prepare_sent_ >= cfg_.rto) begin_prepare();
     return;
   }
 
@@ -369,32 +435,22 @@ void Coordinator::on_tick() {
     pump_proposals();
   }
 
-  // Retransmit stalled proposals (lost ACCEPT/ACCEPTED under drops).
+  // Retransmit stalled proposals (lost ACCEPT/ACCEPTED under drops), each
+  // on its own doubling backoff so a slow ring is not flooded with resends.
   for (auto& [inst, fl] : in_flight_) {
-    if (now - fl.last_send > cfg_.rto) send_accepts(inst);
+    if (now >= fl.resend_at) {
+      fl.backoff = std::min(fl.backoff * 2, cfg_.rto * 8);
+      send_accepts(inst);
+      std::lock_guard lock(stats_mu_);
+      ++stats_.resends;
+    }
   }
 
-  // Idle ring: emit SKIPs so merge-based delivery keeps advancing.  The
-  // schedule is absolute — one skip owed per elapsed skip_interval — and
-  // emission does not wait for earlier skips to decide, so the cadence is
-  // bounded by wall time, not by the Paxos round-trip.  If this tick ran
-  // late (starved thread, loaded host) the loop repays every missed
-  // interval at once, pipelined up to the Phase 2 window; the merge
-  // rotation deficit clears in one round-trip instead of one interval per
-  // missed skip.
-  if (cfg_.skip_interval.count() > 0 && sealed_.empty() && pending_.empty()) {
-    // Cap the repayable backlog at one pipeline window: an idle ring that
-    // was stalled for minutes owes the merge at most "enough skips that no
-    // consumer is waiting", not one per elapsed interval forever.
-    const auto max_backlog =
-        cfg_.skip_interval * static_cast<int>(cfg_.pipeline_window);
-    if (skip_due_ < now - max_backlog) skip_due_ = now - max_backlog;
-    Batch skip;
-    skip.skip = true;
-    while (now >= skip_due_ && in_flight_.size() < cfg_.pipeline_window) {
-      propose(next_instance_++, skip.encode());
-      skip_due_ += cfg_.skip_interval;
-    }
+  // Fallback for lost nudges: an idle ring renews its lease once an rto
+  // after its last slot.
+  if (cfg_.skip_interval.count() > 0 && idle() &&
+      now_slot() >= last_slot_ + slots(cfg_.rto)) {
+    queue_skip(0);
   }
 }
 

@@ -28,11 +28,11 @@ std::optional<Decision> LearnerLog::next() {
     auto msg = mailbox_->pop_for(catchup_after_);
     if (msg) {
       ingest(std::move(*msg));
-      // Traffic alone is not progress: a merged-delivery ring carries skips
-      // every few hundred microseconds, so a learner stuck behind a gap
-      // (dropped DECIDE, or a recovery subscription below the live stream)
-      // would wait on the silent-mailbox branch forever.  Trigger catch-up
-      // on stalled *delivery*, paced like next_for().
+      // Traffic alone is not progress: a merged-delivery ring keeps
+      // deciding lease skips while its peers run, so a learner stuck
+      // behind a gap (dropped DECIDE, or a recovery subscription below the
+      // live stream) would wait on the silent-mailbox branch forever.
+      // Trigger catch-up on stalled *delivery*, paced like next_for().
       if (chrono::steady_clock::now() - last_progress_ > catchup_after_) {
         request_catchup();
         last_progress_ = chrono::steady_clock::now();  // pace the requests

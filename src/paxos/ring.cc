@@ -10,14 +10,15 @@ Ring::Ring(transport::Network& net, RingId id, RingConfig cfg)
     : net_(net),
       id_(id),
       cfg_(std::move(cfg)),
-      learners_(std::make_shared<LearnerRegistry>()) {
+      learners_(std::make_shared<LearnerRegistry>()),
+      peers_(std::make_shared<MergePeers>()) {
   for (std::size_t i = 0; i < cfg_.num_acceptors; ++i) {
     acceptors_.push_back(
         std::make_unique<Acceptor>(net_, id_, cfg_.checkpoint_ackers));
     acceptor_ids_.push_back(acceptors_.back()->id());
   }
   coordinators_.push_back(std::make_unique<Coordinator>(
-      net_, id_, cfg_, acceptor_ids_, learners_, /*proposer_index=*/0,
+      net_, id_, cfg_, acceptor_ids_, learners_, peers_, /*proposer_index=*/0,
       /*start_round=*/0));
   current_coordinator_ = coordinators_.back()->id();
 }
@@ -36,6 +37,13 @@ void Ring::stop() {
   std::lock_guard lock(mu_);
   for (auto& c : coordinators_) c->stop();
   for (auto& a : acceptors_) a->stop();
+}
+
+void Ring::set_merge_peers(const std::vector<const Ring*>& peers) {
+  peers_->coordinators.clear();
+  for (const Ring* p : peers) {
+    peers_->coordinators.push_back(&p->current_coordinator_);
+  }
 }
 
 std::unique_ptr<LearnerLog> Ring::subscribe(Instance start) {
@@ -71,7 +79,7 @@ transport::NodeId Ring::fail_coordinator() {
   transport::NodeId old = current_coordinator_.load();
   net_.disconnect(old);
   auto replacement = std::make_unique<Coordinator>(
-      net_, id_, cfg_, acceptor_ids_, learners_,
+      net_, id_, cfg_, acceptor_ids_, learners_, peers_,
       static_cast<std::uint32_t>(coordinators_.size()), next_round_++);
   if (started_) replacement->start();
   current_coordinator_ = replacement->id();
@@ -89,6 +97,11 @@ CoordinatorStats Ring::stats() const {
 void Ring::stall_coordinator_ticks(std::chrono::microseconds d) {
   std::lock_guard lock(mu_);
   coordinators_.back()->stall_ticks_for(d);
+}
+
+void Ring::skew_coordinator_clock(std::chrono::microseconds d) {
+  std::lock_guard lock(mu_);
+  coordinators_.back()->skew_clock(d);
 }
 
 }  // namespace psmr::paxos

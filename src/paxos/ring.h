@@ -34,6 +34,11 @@ class Ring {
   [[nodiscard]] RingId id() const { return id_; }
   [[nodiscard]] const RingConfig& config() const { return cfg_; }
 
+  /// Declares the rings whose streams learners merge with this one: each
+  /// coordinator nudges their coordinators (kPaxosCover) so they lease
+  /// past its slots.  Call before start().
+  void set_merge_peers(const std::vector<const Ring*>& peers);
+
   /// Node id of the current coordinator (changes on failover).
   [[nodiscard]] transport::NodeId coordinator() const {
     return current_coordinator_.load();
@@ -68,10 +73,13 @@ class Ring {
   /// Aggregate stats from the current coordinator.
   [[nodiscard]] CoordinatorStats stats() const;
 
-  /// Test hook: starves the current coordinator's tick loop for `d`,
+  /// Test hook: starves the current coordinator's deadline timer for `d`,
   /// deterministically reproducing the CPU-contention regime behind the
-  /// merge skip-cadence stall (see Coordinator::stall_ticks_for).
+  /// old merge skip-cadence stall (see Coordinator::stall_ticks_for).
   void stall_coordinator_ticks(std::chrono::microseconds d);
+
+  /// Test hook: skews the current coordinator's slot clock by `d`.
+  void skew_coordinator_clock(std::chrono::microseconds d);
 
   [[nodiscard]] const std::vector<transport::NodeId>& acceptor_ids() const {
     return acceptor_ids_;
@@ -85,6 +93,7 @@ class Ring {
   std::vector<std::unique_ptr<Acceptor>> acceptors_;
   std::vector<transport::NodeId> acceptor_ids_;
   std::shared_ptr<LearnerRegistry> learners_;
+  std::shared_ptr<MergePeers> peers_;
 
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<Coordinator>> coordinators_;

@@ -34,20 +34,27 @@ constexpr Ballot make_ballot(std::uint64_t round, std::uint32_t proposer) {
 }
 
 /// What a decided instance carries: either a batch of opaque commands or a
-/// SKIP no-op emitted by an idle coordinator so deterministic merges make
-/// progress (Multi-Ring Paxos's skip mechanism, paper ref [9]).
+/// SKIP no-op that delivers nothing (Multi-Ring Paxos's skip mechanism,
+/// paper ref [9]).
+///
+/// Every batch carries a clock slot, which is what the multicast merge
+/// orders on (see multicast/merge.h).  The coordinator stamps a command
+/// batch with its clock in microseconds; a skip's slot is a lease end, the
+/// ring's promise to decide nothing earlier.  Failover no-op fills carry
+/// slot 0.
 ///
 /// Commands are util::Payload handles: encode() writes them once into a
 /// pooled block, and decode() hands back zero-copy subviews of the decide
 /// payload — every command a learner delivers shares the one block its
-/// DECIDE arrived in.  The wire format (u8 skip, u32 n, n length-prefixed
-/// commands, CRC32 tail) is unchanged from the Buffer-based seed.
+/// DECIDE arrived in.  Wire format: u8 skip, u64 slot, u32 n, n
+/// length-prefixed commands, CRC32 tail.
 struct Batch {
   bool skip = false;
+  std::uint64_t slot = 0;
   std::vector<util::Payload> commands;
 
   [[nodiscard]] std::size_t encoded_size() const {
-    std::size_t n = 1 + 4 + 4;  // skip + count + crc
+    std::size_t n = 1 + 8 + 4 + 4;  // skip + slot + count + crc
     for (const auto& c : commands) n += 4 + c.size();
     return n;
   }
@@ -55,6 +62,7 @@ struct Batch {
   [[nodiscard]] util::Payload encode() const {
     util::PayloadWriter w(encoded_size());
     w.u8(skip ? 1 : 0);
+    w.u64(slot);
     w.u32(static_cast<std::uint32_t>(commands.size()));
     for (const auto& c : commands) w.bytes(c);
     w.u32(util::Crc32::of(w.view()));
@@ -72,6 +80,7 @@ struct Batch {
       util::Reader r(body);
       Batch b;
       b.skip = r.u8() != 0;
+      b.slot = r.u64();
       std::uint32_t n = r.u32();
       b.commands.reserve(n);
       for (std::uint32_t i = 0; i < n; ++i) {
@@ -100,9 +109,10 @@ struct RingConfig {
   /// Maximum commands per batch regardless of size.
   std::size_t max_batch_commands = 256;
   /// How long the coordinator waits for more commands before sealing a
-  /// non-empty batch.  With adaptive_batching this is only the starting
-  /// point; the effective timeout moves within [min_batch_timeout,
-  /// max_batch_timeout].
+  /// non-empty batch.  With a fixed timeout, a ring whose submits arrive
+  /// further apart than this seals at once instead.  With adaptive_batching
+  /// this is only the starting point; the effective timeout moves within
+  /// [min_batch_timeout, max_batch_timeout].
   std::chrono::microseconds batch_timeout{200};
   /// Adaptive batch timeouts: the coordinator shrinks its timeout when
   /// batches seal full (high load — latency matters, batches fill anyway)
@@ -113,12 +123,16 @@ struct RingConfig {
   std::chrono::microseconds min_batch_timeout{50};
   /// Upper bound for the adaptive timeout.
   std::chrono::microseconds max_batch_timeout{4000};
-  /// If nonzero, an idle coordinator decides SKIP batches at this period so
-  /// merged delivery never stalls.  Zero disables skips (single-ring users).
+  /// Lease length for merged rings: a SKIP's slot is its proposal time plus
+  /// this, a promise that the ring decides nothing earlier.  Skips are
+  /// proposed on demand, when a merge peer's proposal outruns the lease
+  /// (kPaxosCover), and as a fallback once an rto after the lease lapses.
+  /// Zero disables skips (single-ring users).
   std::chrono::microseconds skip_interval{0};
   /// Max undecided instances in flight (pipelining).
   std::size_t pipeline_window = 64;
-  /// Retransmission timeout for PREPARE/ACCEPT under message loss.
+  /// Retransmission timeout for PREPARE/ACCEPT under message loss; an
+  /// instance's resend interval doubles from here up to 8x.
   std::chrono::microseconds rto{5000};
   /// Log truncation: number of distinct replicas whose CHECKPOINTACK must
   /// cover an instance before acceptors may discard it.  A replica acks

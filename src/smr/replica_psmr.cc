@@ -87,11 +87,19 @@ void PsmrReplica::install_frame(const SnapshotFrame& frame) {
   }
   for (std::size_t i = 0; i < mpl_; ++i) {
     const WorkerSnapshot& ws = frame.workers[i];
+    std::vector<std::optional<paxos::Batch>> heads(ws.slots.size());
+    for (const auto& h : ws.heads) {
+      paxos::Batch& b = heads[h.stream].emplace();
+      b.skip = h.skip;
+      b.slot = h.slot;
+      b.commands.assign(h.commands.begin(), h.commands.end());
+    }
     std::deque<multicast::Delivery> pending;
     for (const auto& p : ws.pending) {
       pending.push_back(multicast::Delivery{p.stream, p.message});
     }
-    subs_[i]->restore_merge_state(ws.merge_cursor, std::move(pending));
+    subs_[i]->restore_merge_state(ws.slots, std::move(heads),
+                                  std::move(pending));
     for (const auto& d : ws.dedup) {
       dedup_[i][d.client] = LastExec{d.seq, d.response};
     }
@@ -284,8 +292,16 @@ SnapshotFrame PsmrReplica::build_frame(std::uint64_t executed) const {
     const auto& sub = *subs_[i];
     for (std::size_t s = 0; s < sub.num_streams(); ++s) {
       ws.positions.push_back(sub.stream_position(s));
+      ws.slots.push_back(sub.last_slot(s));
+      if (const auto& head = sub.head(s)) {
+        SnapshotHead h{static_cast<std::uint32_t>(s), head->slot, head->skip,
+                       {}};
+        for (const auto& c : head->commands) {
+          h.commands.push_back(c.to_buffer());
+        }
+        ws.heads.push_back(std::move(h));
+      }
     }
-    ws.merge_cursor = sub.merge_cursor();
     for (const auto& d : sub.pending()) {
       ws.pending.push_back(SnapshotPending{
           static_cast<std::uint32_t>(d.stream), d.message.to_buffer()});

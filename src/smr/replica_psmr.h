@@ -96,10 +96,11 @@ class PsmrReplica {
   }
 
   /// Test hooks: worker w's merged subscription — stream count, and the
-  /// number of ring decisions consumed so far from stream s (the shared
+  /// number of ring decisions fetched so far from stream s (the shared
   /// g_all ring is the last stream).  Progress assertions on these verify
-  /// that every worker's rotation keeps advancing — i.e. that idle rings'
-  /// skips actually reach the merge — without racing the worker thread.
+  /// that every worker's merge keeps advancing — i.e. that idle rings'
+  /// lease skips actually reach the merge — without racing the worker
+  /// thread.
   [[nodiscard]] std::size_t num_streams(std::size_t w) const {
     return subs_.at(w)->num_streams();
   }

@@ -7,7 +7,9 @@ namespace psmr::smr {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x50534E50;  // "PSNP"
-constexpr std::uint32_t kVersion = 1;
+// Version 2: per-stream merge slots and held heads replace the version 1
+// round-robin merge cursor.
+constexpr std::uint32_t kVersion = 2;
 // Hard caps: far above any real deployment (k <= 63 groups), low enough
 // that a corrupt count cannot drive allocation into the gigabytes before
 // the per-entry bounds checks fire.
@@ -26,8 +28,18 @@ util::Buffer encode_snapshot(const SnapshotFrame& frame) {
   w.u32(static_cast<std::uint32_t>(frame.workers.size()));
   for (const auto& worker : frame.workers) {
     w.u32(static_cast<std::uint32_t>(worker.positions.size()));
-    for (auto pos : worker.positions) w.u64(pos);
-    w.u64(worker.merge_cursor);
+    for (std::size_t i = 0; i < worker.positions.size(); ++i) {
+      w.u64(worker.positions[i]);
+      w.u64(worker.slots.at(i));
+    }
+    w.u32(static_cast<std::uint32_t>(worker.heads.size()));
+    for (const auto& h : worker.heads) {
+      w.u32(h.stream);
+      w.u64(h.slot);
+      w.u8(h.skip ? 1 : 0);
+      w.u32(static_cast<std::uint32_t>(h.commands.size()));
+      for (const auto& c : h.commands) w.bytes(c);
+    }
     w.u32(static_cast<std::uint32_t>(worker.pending.size()));
     for (const auto& p : worker.pending) {
       w.u32(p.stream);
@@ -66,14 +78,42 @@ std::optional<SnapshotFrame> decode_snapshot(
     for (auto& worker : frame.workers) {
       std::uint32_t num_streams = r.u32();
       if (num_streams > kMaxStreams ||
-          std::size_t{num_streams} * 8 > r.remaining()) {
+          std::size_t{num_streams} * 16 > r.remaining()) {
         return std::nullopt;
       }
       worker.positions.reserve(num_streams);
+      worker.slots.reserve(num_streams);
       for (std::uint32_t i = 0; i < num_streams; ++i) {
         worker.positions.push_back(r.u64());
+        worker.slots.push_back(r.u64());
       }
-      worker.merge_cursor = r.u64();
+      std::uint32_t num_heads = r.u32();
+      if (num_heads > num_streams) return std::nullopt;
+      worker.heads.reserve(num_heads);
+      for (std::uint32_t i = 0; i < num_heads; ++i) {
+        SnapshotHead h;
+        h.stream = r.u32();
+        // Canonical form: one head per stream, ascending.
+        if (h.stream >= num_streams ||
+            (!worker.heads.empty() && h.stream <= worker.heads.back().stream)) {
+          return std::nullopt;
+        }
+        h.slot = r.u64();
+        std::uint8_t skip = r.u8();
+        if (skip > 1) return std::nullopt;
+        h.skip = skip != 0;
+        std::uint32_t num_commands = r.u32();
+        // Every command occupies at least its 4-byte length.
+        if (num_commands > kMaxEntries ||
+            std::size_t{num_commands} * 4 > r.remaining()) {
+          return std::nullopt;
+        }
+        h.commands.reserve(num_commands);
+        for (std::uint32_t c = 0; c < num_commands; ++c) {
+          h.commands.push_back(r.bytes());
+        }
+        worker.heads.push_back(std::move(h));
+      }
       std::uint32_t num_pending = r.u32();
       // Every pending entry occupies at least 8 bytes (stream + length).
       if (num_pending > kMaxEntries ||

@@ -4,7 +4,8 @@
 // multicast bus places at one well-defined position of every replica's
 // merged delivery sequence, so the frame captures a *consistent* cut: the
 // service state after exactly `executed` commands, plus, per worker, the
-// stream positions / merge cursor / undelivered merged tail at that cut and
+// stream positions / merge slots and heads / undelivered merged tail at
+// that cut and
 // the client dedup table that suppresses duplicate replies on replay.
 // Everything in the frame is a deterministic function of the delivery
 // streams, so replicas cutting the same marker produce byte-identical
@@ -58,13 +59,27 @@ struct SnapshotPending {
   util::Buffer message;
 };
 
+/// A decided batch the merge had fetched but not consumed at the cut (its
+/// stream's head; see multicast::MergeDeliverer::head).
+struct SnapshotHead {
+  std::uint32_t stream = 0;
+  std::uint64_t slot = 0;
+  bool skip = false;
+  std::vector<util::Buffer> commands;
+};
+
 /// Everything one worker thread needs to resume its merged stream exactly
 /// at the cut.
 struct WorkerSnapshot {
-  /// Next undelivered instance per stream (group ring first, then the
-  /// shared ring when one exists) — the subscribe_at() resume points.
+  /// Next unfetched instance per stream (group ring first, then the shared
+  /// ring when one exists) — the subscribe_at() resume points.
   std::vector<paxos::Instance> positions;
-  std::uint64_t merge_cursor = 0;
+  /// Per stream, the effective slot of the last decision the merge
+  /// consumed.
+  std::vector<std::uint64_t> slots;
+  /// Held heads, at most one per stream, in strictly increasing stream
+  /// order.
+  std::vector<SnapshotHead> heads;
   std::vector<SnapshotPending> pending;
   /// Sorted by client (strictly increasing) — canonical form, so equal
   /// tables encode to equal bytes.

@@ -55,14 +55,17 @@ class Endpoint {
   /// Processes one message.  Runs on the endpoint's own thread only.
   virtual void handle(Message msg) = 0;
 
-  /// If a subclass returns a duration, on_tick() fires at least that often
-  /// (between messages and under load alike).  Coordinators use this for
-  /// batch sealing, skip generation and retransmission timers.
-  [[nodiscard]] virtual std::optional<std::chrono::microseconds>
-  tick_interval() const {
+  using Clock = std::chrono::steady_clock;
+
+  /// The next time on_deadline() should run, asked after every message and
+  /// every on_deadline(); std::nullopt waits for messages only.
+  /// Coordinators return their earliest timer (batch seal, retransmit,
+  /// fallback skip, Phase 1 retry).  on_deadline() must move every expired
+  /// deadline forward, or the drain loop spins.
+  [[nodiscard]] virtual std::optional<Clock::time_point> next_deadline() {
     return std::nullopt;
   }
-  virtual void on_tick() {}
+  virtual void on_deadline() {}
 
   /// Sends from this endpoint.  Accepts a util::Payload (zero-copy share)
   /// or, via implicit conversion, a util::Buffer.
@@ -72,19 +75,19 @@ class Endpoint {
 
  private:
   void run() {
-    const auto interval = tick_interval();
-    if (!interval) {
-      while (auto msg = mailbox_->pop()) handle(std::move(*msg));
-      return;
-    }
-    auto next_tick = std::chrono::steady_clock::now() + *interval;
     while (true) {
-      auto now = std::chrono::steady_clock::now();
-      if (now >= next_tick) {
-        on_tick();
-        next_tick = now + *interval;
+      const auto deadline = next_deadline();
+      std::optional<Message> msg;
+      if (!deadline) {
+        msg = mailbox_->pop();
+      } else {
+        const auto now = Clock::now();
+        if (now >= *deadline) {
+          on_deadline();
+          continue;
+        }
+        msg = mailbox_->pop_for(*deadline - now);
       }
-      auto msg = mailbox_->pop_for(next_tick - now);
       if (msg) {
         handle(std::move(*msg));
       } else if (mailbox_->closed() && mailbox_->empty()) {

@@ -36,6 +36,7 @@ enum MsgType : std::uint16_t {
   kPaxosCatchupRep = 9, // acceptor -> learner
   kPaxosSubmitMany = 10, // client/proxy -> coordinator: coalesced commands
   kPaxosCheckpointAck = 11, // replica -> acceptor: checkpoint covers < inst
+  kPaxosCover = 12,     // coordinator -> merge peer coordinator: u64 slot
   // SMR layer: 30..39
   kSmrResponse = 30,    // replica worker -> client proxy
   kSmrDirect = 31,      // client -> unreplicated server (no-rep / lock server)

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <thread>
 
 #include "multicast/amcast.h"
 #include "paxos/ring.h"
@@ -119,6 +120,31 @@ TEST(BatchSeal, TimeoutSealsPartialBatch) {
   EXPECT_EQ(s.sealed_on_bytes, 0u);
   EXPECT_EQ(s.sealed_on_count, 0u);
   EXPECT_EQ(s.sealed_commands, 3u);
+}
+
+TEST(BatchSeal, SparseSubmitsSealAtOnce) {
+  // Submits 2 ms apart against a 300 us timeout: waiting would add latency
+  // and no commands, so once the inter-submit average has seen a few gaps
+  // the ring seals each command as it arrives.
+  Network net;
+  RingConfig cfg;
+  cfg.batch_timeout = std::chrono::microseconds(300);
+  Ring ring(net, 0, cfg);
+  auto learner = ring.subscribe();
+  ring.start();
+  auto [me, mybox] = net.register_node();
+
+  constexpr std::uint64_t kCommands = 12;
+  for (std::uint64_t i = 0; i < kCommands; ++i) {
+    ring.submit(me, cmd(i));
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  drain_ordered(*learner, kCommands);
+
+  auto s = ring.stats();
+  EXPECT_EQ(s.sealed_commands, kCommands);
+  EXPECT_GE(s.sealed_at_once, kCommands - 4);
+  EXPECT_LE(s.sealed_on_timeout, 4u);
 }
 
 TEST(BatchSeal, FixedTimeoutReportedInStats) {

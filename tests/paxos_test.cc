@@ -190,6 +190,40 @@ TEST(Ring, SurvivesMessageLoss) {
   EXPECT_EQ(got.size(), kN);
 }
 
+TEST(Ring, RetransmitsBackOffUpToEightRto) {
+  // With two of three acceptors unreachable an instance cannot decide, so
+  // its ACCEPTs are resent.  Each resend doubles the instance's interval
+  // from rto up to 8x rto: over 100 ms at a 1 ms rto that is ~14 resends
+  // (1, 3, 7, 15, 23, ... ms), where a fixed rto would resend ~100 times.
+  Network net;
+  RingConfig cfg;
+  cfg.rto = std::chrono::microseconds(1000);
+  Ring ring(net, 0, cfg);
+  auto learner = ring.subscribe();
+  ring.start();
+  auto [me, mybox] = net.register_node();
+  ring.submit(me, cmd(0));
+  auto first = learner->next_for(std::chrono::seconds(5));
+  ASSERT_TRUE(first.has_value());
+
+  net.disconnect(ring.acceptor_ids()[1]);
+  net.disconnect(ring.acceptor_ids()[2]);
+  const auto before = ring.stats().resends;
+  ring.submit(me, cmd(1));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const auto resends = ring.stats().resends - before;
+  EXPECT_GE(resends, 4u);
+  EXPECT_LE(resends, 20u);
+
+  // Reachable again: the next resend (at most 8 rto away) decides it.
+  net.reconnect(ring.acceptor_ids()[1]);
+  net.reconnect(ring.acceptor_ids()[2]);
+  auto second = learner->next_for(std::chrono::seconds(5));
+  ASSERT_TRUE(second.has_value());
+  ASSERT_EQ(second->batch.commands.size(), 1u);
+  EXPECT_EQ(cmd_id(second->batch.commands[0]), 1u);
+}
+
 TEST(Ring, LateSubscriberCatchesUp) {
   Network net;
   Ring ring(net, 0, fast_config());

@@ -31,11 +31,13 @@ SnapshotFrame make_frame() {
   f.service_digest = 0xdeadbeefcafef00dULL;
   f.workers.resize(2);
   f.workers[0].positions = {17, 42};
-  f.workers[0].merge_cursor = 1;
+  f.workers[0].slots = {1000, 1250};
+  f.workers[0].heads = {{1, 1500, true, {}}};
   f.workers[0].pending = {{0, {1, 2, 3}}, {1, {9}}};
   f.workers[0].dedup = {{5, 7, {0xaa}}, {9, 2, {}}};
   f.workers[1].positions = {3, 42};
-  f.workers[1].merge_cursor = 0;
+  f.workers[1].slots = {900, 0};
+  f.workers[1].heads = {{0, 0, false, {{4, 5}, {}}}, {1, 1500, true, {}}};
   f.workers[1].dedup = {{6, 1, {0xbb, 0xcc}}};
   f.service_state = {10, 20, 30, 40, 50};
   return f;
@@ -52,7 +54,16 @@ TEST(SnapshotCodec, RoundTrips) {
   ASSERT_EQ(out->workers.size(), 2u);
   for (std::size_t w = 0; w < 2; ++w) {
     EXPECT_EQ(out->workers[w].positions, in.workers[w].positions);
-    EXPECT_EQ(out->workers[w].merge_cursor, in.workers[w].merge_cursor);
+    EXPECT_EQ(out->workers[w].slots, in.workers[w].slots);
+    ASSERT_EQ(out->workers[w].heads.size(), in.workers[w].heads.size());
+    for (std::size_t i = 0; i < in.workers[w].heads.size(); ++i) {
+      const SnapshotHead& a = out->workers[w].heads[i];
+      const SnapshotHead& b = in.workers[w].heads[i];
+      EXPECT_EQ(a.stream, b.stream);
+      EXPECT_EQ(a.slot, b.slot);
+      EXPECT_EQ(a.skip, b.skip);
+      EXPECT_EQ(a.commands, b.commands);
+    }
     ASSERT_EQ(out->workers[w].pending.size(), in.workers[w].pending.size());
     for (std::size_t i = 0; i < in.workers[w].pending.size(); ++i) {
       EXPECT_EQ(out->workers[w].pending[i].stream,
@@ -119,7 +130,7 @@ TEST(SnapshotCodec, HostileCountsWithValidDigestReject) {
   // it has to reject before any allocation runs away.
   util::Writer w;
   w.u32(0x50534E50);  // magic
-  w.u32(1);           // version
+  w.u32(2);           // version
   w.u64(0);           // executed
   w.u64(0);           // service digest
   w.u32(1u << 30);    // hostile worker count
@@ -135,6 +146,49 @@ TEST(SnapshotCodec, HostileCountsWithValidDigestReject) {
   SnapshotFrame stray = make_frame();
   stray.workers[1].pending = {{7, {1}}};
   EXPECT_FALSE(decode_snapshot(encode_snapshot(stray)).has_value());
+
+  // So is a merge head naming such a stream, two heads for one stream, or
+  // heads out of stream order.
+  for (auto heads : {std::vector<SnapshotHead>{{2, 5, false, {}}},
+                     std::vector<SnapshotHead>{{0, 5, false, {}},
+                                               {0, 6, false, {}}},
+                     std::vector<SnapshotHead>{{1, 5, true, {}},
+                                               {0, 6, false, {}}}}) {
+    SnapshotFrame bad = make_frame();
+    bad.workers[0].heads = heads;
+    EXPECT_FALSE(decode_snapshot(encode_snapshot(bad)).has_value());
+  }
+
+  // A head's command count must fit the bytes behind it.
+  util::Writer h;
+  h.u32(0x50534E50);
+  h.u32(2);
+  h.u64(0);
+  h.u64(0);
+  h.u32(1);        // one worker
+  h.u32(1);        // one stream
+  h.u64(0);        // position
+  h.u64(0);        // slot
+  h.u32(1);        // one head
+  h.u32(0);        // stream 0
+  h.u64(7);        // slot
+  h.u8(0);         // not a skip
+  h.u32(1u << 19); // hostile command count
+  h.u64(util::fnv1a(h.view()));
+  EXPECT_FALSE(decode_snapshot(h.view()).has_value());
+}
+
+TEST(SnapshotCodec, RejectsVersionOneFrames) {
+  // Version 1 carried a round-robin merge cursor where version 2 carries
+  // per-stream slots and heads; an old frame must not install even with a
+  // valid digest.
+  auto enc = encode_snapshot(make_frame());
+  enc[4] = 1;  // version field, little-endian, right after the magic
+  util::Buffer body(enc.begin(), enc.end() - 8);
+  util::Writer w;
+  w.raw(body);
+  w.u64(util::fnv1a(body));
+  EXPECT_FALSE(decode_snapshot(w.view()).has_value());
 }
 
 TEST(SnapshotCodec, FuzzedFramesNeverOverreadOrCrash) {

@@ -8,11 +8,15 @@
 // a time, and merge-based delivery crawled behind client retransmission
 // timeouts (Psmr.SameKeyOrderingIsLinear timing out at 240s).
 //
-// The fix makes the schedule absolute (one skip owed per elapsed interval
-// of wall time, regardless of decide latency) and repays a late tick's
-// backlog as one pipelined burst.  Coordinator::stall_ticks_for() recreates
-// the starved-tick regime deterministically: it suppresses on_tick for a
-// fixed duration while message handling keeps running.
+// Skips are no longer scheduled at all.  The merge orders on clock slots,
+// and a ring leases past a peer's slot when that peer's coordinator nudges
+// it (kPaxosCover) — from message handling, not from a timer.  A starved
+// timer therefore delays only batch timeouts, retransmits and the idle
+// fallback skip, never the lease a waiting merge needs.
+// Coordinator::stall_ticks_for() recreates the starved-timer regime
+// deterministically: it suppresses all deadline work for a fixed duration
+// while message handling keeps running.  The tests keep the bounds they
+// had under the old cadence fix.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -31,20 +35,19 @@ using multicast::Bus;
 using multicast::BusConfig;
 using multicast::GroupSet;
 
-// A starved tick thread must repay its whole skip backlog as one pipelined
-// burst, not one skip per interval.
+// A starved timer on an idle ring must not hold back a peer's traffic.
 //
 // Setup: two worker groups, so group 0's subscription merges [ring g0,
-// shared ring].  The shared ring's coordinator has its ticks stalled — the
-// starved regime — while 40 singleton messages are decided on g0
-// (max_batch_commands = 1: one instance each).  The merge rotation needs a
-// shared-ring decision between consecutive g0 decisions, so the consumer
-// is wedged 39 deep when the stall lifts.
+// shared ring].  The shared ring's coordinator has its timer stalled for
+// 1.1 s — the starved regime — while 40 singleton messages are decided on
+// g0 (max_batch_commands = 1: one instance each).  The first g0 seal
+// nudges the shared ring, which leases 25 ms past it from its message
+// handler, so all 40 merge within a few round-trips.
 //
-// With a 25 ms skip interval, serial repayment (the old behaviour) needs
-// >= 39 * 25 ms ~ 1 s *after* the 1.1 s stall; the pipelined burst clears
-// the backlog in a few round-trips.  The 1.6 s budget separates the two by
-// ~0.5 s on either side.
+// Under the old instance round-robin merge the consumer was wedged 39
+// deep until the stall lifted, and serial skip repayment then needed
+// >= 39 * 25 ms ~ 1 s more; the 1.6 s budget is the one that separated
+// serial repayment from the pipelined burst.
 TEST(SkipCadence, StarvedTicksRepayBacklogAsOneBurst) {
   constexpr int kMessages = 40;
   constexpr auto kStall = 1100ms;
@@ -89,11 +92,11 @@ TEST(SkipCadence, StarvedTicksRepayBacklogAsOneBurst) {
 }
 
 // End-to-end liveness: a same-key sequential stream keeps flowing while
-// every ring's tick thread is repeatedly starved.  This is the
-// deployment-shaped cousin of Psmr.SameKeyOrderingIsLinear, with the
-// CPU-contention regime injected deterministically instead of hoping for a
-// loaded host; it wedges (until client retransmission) under the old
-// cadence and finishes in seconds under the fixed one.
+// every ring's timer is repeatedly starved.  This is the deployment-shaped
+// cousin of Psmr.SameKeyOrderingIsLinear, with the CPU-contention regime
+// injected deterministically instead of hoping for a loaded host; it
+// wedged (until client retransmission) under the original relative
+// cadence.
 TEST(SkipCadence, SameKeyStreamSurvivesStarvedTicks) {
   constexpr std::size_t kMpl = 4;
   test_support::KvCluster cluster(smr::Mode::kPsmr, kMpl,

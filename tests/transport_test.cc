@@ -153,11 +153,16 @@ class TickingEndpoint : public Endpoint {
 
  protected:
   void handle(Message) override {}
-  [[nodiscard]] std::optional<std::chrono::microseconds> tick_interval()
-      const override {
-    return std::chrono::microseconds(1000);
+  [[nodiscard]] std::optional<Clock::time_point> next_deadline() override {
+    return next_;
   }
-  void on_tick() override { ticks++; }
+  void on_deadline() override {
+    ticks++;
+    next_ = Clock::now() + std::chrono::microseconds(1000);
+  }
+
+ private:
+  Clock::time_point next_ = Clock::now();
 };
 
 TEST(Endpoint, TicksFireWithoutTraffic) {

@@ -216,9 +216,11 @@ TEST(WorkloadDriver, OfferedAccountingIdentityHolds) {
   // fully partitioned into submitted + shed_valve + dispatch_failed.
   test_support::KvCluster cluster(smr::Mode::kPsmr, 2, /*initial_keys=*/64);
   auto spec = quick_spec(64);
-  spec.target_rate_cps = 50'000;  // far past this host's capacity
+  spec.target_rate_cps = 50'000;
   spec.poisson_arrivals = true;
-  spec.max_outstanding = 32;
+  // Far past what 8 outstanding commands can carry while the rings' 500us
+  // batch timeout paces them, so the valve must bind.
+  spec.max_outstanding = 8;
   spec.duration_s = 0.3;
   auto res = run_kv_workload(cluster.deployment(), spec);
   ASSERT_GT(res.offered, 0u);
