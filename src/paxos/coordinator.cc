@@ -39,6 +39,7 @@ Coordinator::Coordinator(transport::Network& net, RingId ring, RingConfig cfg,
       proposer_index_(proposer_index),
       round_(start_round),
       ballot_(make_ballot(start_round, proposer_index)),
+      jitter_((std::uint64_t{ring} << 32) ^ proposer_index ^ start_round),
       batch_timeout_(initial_batch_timeout(cfg_)) {
   stats_.batch_timeout_us = static_cast<std::uint64_t>(batch_timeout_.count());
   last_submit_ = Clock::now();
@@ -81,7 +82,7 @@ void Coordinator::begin_prepare() {
   phase_ = Phase::kPreparing;
   promises_.clear();
   promised_values_.clear();
-  prepare_sent_ = Clock::now();
+  prepare_due_ = Clock::now() + cfg_.rto;
   util::PayloadWriter w(16);
   w.u64(ballot_);
   w.u64(0);  // learn everything; acceptors prune nothing in this prototype
@@ -380,13 +381,13 @@ void Coordinator::decide(Instance inst) {
   for (auto a : acceptors_) {
     send(a, MsgType::kPaxosDecide, payload);
   }
-  if (auto batch = Batch::decode(it->second.value)) {
+  if (auto header = Batch::peek(it->second.value.view())) {
     std::lock_guard lock(stats_mu_);
     ++stats_.decided_batches;
-    if (batch->skip) {
+    if (header->skip) {
       ++stats_.decided_skips;
     } else {
-      stats_.decided_commands += batch->commands.size();
+      stats_.decided_commands += header->count;
     }
   }
   in_flight_.erase(it);
@@ -398,16 +399,23 @@ void Coordinator::on_nack(util::Reader& r) {
   if (seen < ballot_) return;
   // A higher ballot exists: adopt a round above it and re-prepare.  Values
   // still in flight are re-proposed after the new Phase 1 completes.
+  // The PREPARE waits a random delay in [0, rto): two coordinators that
+  // NACK each other re-prepare at different times, so one of them completes
+  // Phase 1 instead of both dueling forever.
   round_ = seen / 65536 + 1;
   ballot_ = make_ballot(round_, proposer_index_);
-  begin_prepare();
+  phase_ = Phase::kPreparing;
+  const auto rto = static_cast<std::uint64_t>(cfg_.rto.count());
+  prepare_due_ = Clock::now() + chrono::microseconds(
+                                    jitter_.next_below(std::max<std::uint64_t>(
+                                        rto, 1)));
 }
 
 std::optional<Coordinator::Clock::time_point> Coordinator::next_deadline() {
   const Clock::time_point stall{
       Clock::duration(stall_until_ns_.load(std::memory_order_relaxed))};
   if (stall > Clock::now()) return stall;
-  if (phase_ == Phase::kPreparing) return prepare_sent_ + cfg_.rto;
+  if (phase_ == Phase::kPreparing) return prepare_due_;
   std::optional<Clock::time_point> due;
   const auto consider = [&](Clock::time_point t) {
     if (!due || t < *due) due = t;
@@ -425,7 +433,7 @@ void Coordinator::on_deadline() {
   if (stalled(now)) return;  // test hook: simulated timer starvation
 
   if (phase_ == Phase::kPreparing) {
-    if (now - prepare_sent_ >= cfg_.rto) begin_prepare();
+    if (now >= prepare_due_) begin_prepare();
     return;
   }
 

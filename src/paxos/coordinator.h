@@ -23,8 +23,8 @@
 //   * runs multi-Paxos: one Phase 1 (prepare/promise) per ballot covering
 //     all instances, then pipelined Phase 2 (accept/accepted) per batch;
 //   * retransmits on a per-instance backoff (rto doubling up to 8x rto) and
-//     re-prepares on NACK, so the ring stays live under message loss and
-//     competing coordinators stay safe.
+//     re-prepares on NACK after a random delay below rto, so the ring stays
+//     live under message loss and competing coordinators stay safe.
 // There is no periodic tick: the endpoint wakes the coordinator at its
 // earliest deadline (batch seal, retransmit, fallback skip, Phase 1 retry).
 #pragma once
@@ -41,6 +41,7 @@
 
 #include "paxos/types.h"
 #include "transport/endpoint.h"
+#include "util/rng.h"
 
 namespace psmr::paxos {
 
@@ -254,7 +255,10 @@ class Coordinator : public transport::Endpoint {
   /// everywhere; a failover coordinator must never re-propose below it (it
   /// would reuse instance numbers every learner has already passed).
   Instance prepare_floor_ = 0;
-  Clock::time_point prepare_sent_{};
+  /// When PREPARE is (re)sent: rto after the last one, or a random delay
+  /// below rto after a NACK.
+  Clock::time_point prepare_due_{};
+  util::SplitMix64 jitter_;
 
   // Batching.  Pending commands are zero-copy subviews of the submit
   // frames they arrived in; sealing copies them once into the batch block.
@@ -293,8 +297,8 @@ class Coordinator : public transport::Endpoint {
   std::atomic<Clock::rep> stall_until_ns_{0};
   std::atomic<std::int64_t> clock_skew_us_{0};
 
-  // Written on the coordinator thread only; the mutex makes stats() safe to
-  // call from test/bench threads.
+  // Written by the coordinator's handlers only; the mutex makes stats()
+  // safe to call from test/bench threads.
   mutable std::mutex stats_mu_;
   CoordinatorStats stats_;
 };

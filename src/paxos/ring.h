@@ -26,7 +26,7 @@ class Ring {
   Ring(const Ring&) = delete;
   Ring& operator=(const Ring&) = delete;
 
-  /// Starts acceptor and coordinator threads.
+  /// Starts the acceptor and coordinator endpoints.
   void start();
   /// Stops all endpoints (also runs on destruction).
   void stop();

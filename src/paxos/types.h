@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "util/buffer_pool.h"
@@ -67,6 +68,23 @@ struct Batch {
     for (const auto& c : commands) w.bytes(c);
     w.u32(util::Crc32::of(w.view()));
     return w.take();
+  }
+
+  /// The fixed value header, read without the CRC check or the command
+  /// walk decode() does.
+  struct Header {
+    bool skip = false;
+    std::uint64_t slot = 0;
+    std::uint32_t count = 0;
+  };
+  static std::optional<Header> peek(std::span<const std::uint8_t> data) {
+    if (data.size() < 1 + 8 + 4 + 4) return std::nullopt;
+    util::Reader r(data);
+    Header h;
+    h.skip = r.u8() != 0;
+    h.slot = r.u64();
+    h.count = r.u32();
+    return h;
   }
 
   /// Decodes from a Payload; command entries are subviews sharing `data`'s

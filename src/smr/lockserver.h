@@ -5,10 +5,12 @@
 // the concurrent execution of commands.  As a result, there is no scheduler
 // interposed between clients and server threads: each server thread
 // receives requests through a separate socket, executes them, and responds
-// to clients."  Here each handler thread owns a mailbox (the "socket");
-// clients are statically assigned to handlers; all handlers execute against
-// one shared, internally synchronized service (e.g. the latch-crabbing
-// B+-tree in kvstore/concurrent_bptree.h).
+// to clients."  Here each handler is an Endpoint with its own mailbox (the
+// "socket"), run on the network's executor pool, so handlers execute in
+// parallel up to the pool's size; clients are statically assigned to
+// handlers; all handlers execute against one shared, internally
+// synchronized service (e.g. the latch-crabbing B+-tree in
+// kvstore/concurrent_bptree.h).
 #pragma once
 
 #include <atomic>
@@ -32,7 +34,7 @@ class LockServer {
   void start();
   void stop();
 
-  /// Node id of handler thread i — give each client one of these as its
+  /// Node id of handler i — give each client one of these as its
   /// direct-mode server ("separate socket per server thread").
   [[nodiscard]] transport::NodeId handler_node(std::size_t i) const {
     return handlers_.at(i)->id();

@@ -6,6 +6,11 @@
 // threads."  Identical execution engine to sP-SMR but fed straight from
 // client messages — isolating the cost of atomic multicast when the two are
 // compared.
+//
+// The server endpoint runs on the network's executor pool.  A serialized
+// command makes its handler block in SchedulerCore::drain(), which waits
+// only on the core's own worker threads, never on the pool, so the block
+// cannot deadlock the executor.
 #pragma once
 
 #include <memory>
@@ -31,7 +36,7 @@ class NoRepServer : public transport::Endpoint {
     start();
   }
   void stop_all() {
-    stop();  // endpoint thread first: it feeds the core
+    stop();  // the endpoint first: it feeds the core
     core_.stop();
   }
 

@@ -1,0 +1,163 @@
+#include "transport/executor.h"
+
+#include <algorithm>
+#include <chrono>
+
+#include "transport/endpoint.h"
+
+namespace psmr::transport {
+
+namespace {
+
+/// The pool thread's executor and local LIFO list (null off the pool).
+struct PoolThread {
+  Executor* executor = nullptr;
+  std::deque<Endpoint*> local;
+};
+thread_local PoolThread* tl_pool = nullptr;
+
+std::chrono::steady_clock::time_point at(std::int64_t ns) {
+  return std::chrono::steady_clock::time_point(std::chrono::nanoseconds(ns));
+}
+
+}  // namespace
+
+std::int64_t Executor::now_ns() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+Executor::Executor() {
+  const std::size_t n =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  threads_.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    threads_.emplace_back([this] { worker_loop(); });
+  }
+}
+
+Executor::~Executor() {
+  {
+    std::lock_guard lock(mu_);
+    stopping_ = true;
+  }
+  idle_cv_.notify_all();
+  timer_cv_.notify_all();
+  for (auto& t : threads_) t.join();
+}
+
+void Executor::schedule(Endpoint* ep) {
+  if (tl_pool != nullptr && tl_pool->executor == this) {
+    tl_pool->local.push_back(ep);  // runs after the current handler
+    return;
+  }
+  std::lock_guard lock(mu_);
+  ready_.push_back(ep);
+  if (idle_ > 0) {
+    idle_cv_.notify_one();
+  } else if (timer_waiter_) {
+    timer_cv_.notify_one();
+  }
+}
+
+void Executor::yield(Endpoint* ep) { tl_pool->local.push_front(ep); }
+
+void Executor::arm(Endpoint* ep, std::int64_t at_ns) {
+  // Pairs with fire_timers(): the store to armed_ns_ and the load of
+  // heap_ns_ here, and the store to heap_ns_ and the load of armed_ns_
+  // there, are sequentially consistent, so a live entry that a timer
+  // thread retires concurrently is either seen gone here or re-pushed
+  // there at the new time.
+  ep->armed_ns_.store(at_ns);
+  if (at_ns >= ep->heap_ns_.load()) return;  // an entry fires by then
+  std::lock_guard lock(mu_);
+  if (at_ns >= ep->heap_ns_.load()) return;
+  push_timer(ep, at_ns);
+  if (timer_waiter_) {
+    if (at_ns < timer_wait_ns_) timer_cv_.notify_one();
+  } else if (idle_ > 0) {
+    idle_cv_.notify_one();  // nobody watches the heap: take the duty
+  }
+}
+
+void Executor::forget(Endpoint* ep) {
+  std::lock_guard lock(mu_);
+  std::erase_if(heap_, [ep](const Timer& t) { return t.ep == ep; });
+  std::make_heap(heap_.begin(), heap_.end(), Later{});
+  ep->heap_seq_ = 0;
+  ep->heap_ns_.store(kNever);
+}
+
+void Executor::push_timer(Endpoint* ep, std::int64_t at_ns) {
+  ep->heap_seq_ = ++timer_seq_;
+  ep->heap_ns_.store(at_ns);
+  heap_.push_back(Timer{at_ns, ep->heap_seq_, ep});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+}
+
+void Executor::fire_timers(std::int64_t now) {
+  while (!heap_.empty()) {
+    const Timer top = heap_.front();
+    Endpoint* ep = top.ep;
+    if (top.seq == ep->heap_seq_) {
+      // Live and not yet due, with the deadline not moved later (an
+      // earlier one is about to be pushed by its run): sleep until it.
+      if (top.at_ns > now && ep->armed_ns_.load() <= top.at_ns) return;
+    }
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.pop_back();
+    if (top.seq != ep->heap_seq_) continue;  // superseded by an earlier one
+    // Due, moved later, or cleared: retire the entry, then act on the
+    // endpoint's current deadline.
+    ep->heap_seq_ = 0;
+    ep->heap_ns_.store(kNever);
+    const std::int64_t armed = ep->armed_ns_.load();
+    if (armed <= now) {
+      if (ep->wake_for_timer()) ready_.push_back(ep);
+    } else if (armed != kNever) {
+      push_timer(ep, armed);
+    }
+  }
+}
+
+void Executor::worker_loop() {
+  PoolThread self{this, {}};
+  tl_pool = &self;
+  std::unique_lock lock(mu_);
+  while (true) {
+    fire_timers(now_ns());
+    if (!ready_.empty()) {
+      Endpoint* ep = ready_.front();
+      ready_.pop_front();
+      // Leave no shared work or unwatched timer behind while threads idle.
+      if (idle_ > 0 &&
+          (!ready_.empty() || (!heap_.empty() && !timer_waiter_))) {
+        idle_cv_.notify_one();
+      }
+      lock.unlock();
+      ep->run();
+      while (!self.local.empty()) {
+        ep = self.local.back();
+        self.local.pop_back();
+        ep->run();
+      }
+      lock.lock();
+      continue;
+    }
+    if (stopping_) break;
+    if (!heap_.empty() && !timer_waiter_) {
+      timer_waiter_ = true;
+      timer_wait_ns_ = heap_.front().at_ns;
+      timer_cv_.wait_until(lock, at(timer_wait_ns_));
+      timer_waiter_ = false;
+    } else {
+      ++idle_;
+      idle_cv_.wait(lock);
+      --idle_;
+    }
+  }
+  tl_pool = nullptr;
+}
+
+}  // namespace psmr::transport

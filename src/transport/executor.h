@@ -1,0 +1,103 @@
+// Executor: one per Network, running every Endpoint on a fixed thread pool.
+//
+// std::thread::hardware_concurrency() pool threads run every endpoint's
+// handle() and on_deadline(); no endpoint owns a thread.  Endpoints become
+// runnable in two ways:
+//   * a push to an idle endpoint's mailbox schedules it.  A push made on a
+//     pool thread (a handler sending) queues the receiver on that thread's
+//     local LIFO list, which runs after the current handler returns and
+//     wakes no other thread, so a coordinator -> acceptors -> coordinator
+//     -> DECIDE chain runs on one thread without a futex round trip.  A
+//     push from any other thread (a client's spool flush, a replica's
+//     checkpoint ack, a test) goes to the shared queue and wakes an idle
+//     pool thread;
+//   * its deadline expires.  One timer heap holds every endpoint's
+//     next_deadline(); an expiry goes to the shared queue.
+// Heap entries are lazy: a deadline that moves later leaves its old entry
+// in place, and a thread about to sleep first pops such stale entries
+// (re-pushing them at the new time), so a moved deadline never causes a
+// wakeup.  One idle thread at a time sleeps until the earliest deadline;
+// the others sleep until work arrives.
+#pragma once
+
+#include <condition_variable>
+#include <cstddef>
+#include <cstdint>
+#include <deque>
+#include <limits>
+#include <mutex>
+#include <thread>
+#include <vector>
+
+namespace psmr::transport {
+
+class Endpoint;
+
+class Executor {
+ public:
+  /// A timer time meaning "no deadline".
+  static constexpr std::int64_t kNever =
+      std::numeric_limits<std::int64_t>::max();
+
+  /// Starts the pool threads (hardware_concurrency(), at least one).
+  Executor();
+  /// Stops and joins the pool.  Every endpoint must be stopped first.
+  ~Executor();
+
+  Executor(const Executor&) = delete;
+  Executor& operator=(const Executor&) = delete;
+
+  /// Makes `ep` runnable: a pool thread will call its run() once.  The
+  /// caller has marked `ep` scheduled in its mailbox.
+  void schedule(Endpoint* ep);
+
+  /// Re-queues `ep`, already scheduled, behind this pool thread's other
+  /// local work: its run stopped with messages still queued.
+  void yield(Endpoint* ep);
+
+  /// Sets `ep`'s timer to `at_ns` (steady-clock ns; kNever clears it).
+  /// Called only from `ep`'s own run.
+  void arm(Endpoint* ep, std::int64_t at_ns);
+
+  /// Drops every timer entry for `ep`, which is stopped and will never
+  /// run again.
+  void forget(Endpoint* ep);
+
+  [[nodiscard]] std::size_t threads() const { return threads_.size(); }
+
+  /// steady_clock::now() in nanoseconds, the timer heap's time base.
+  [[nodiscard]] static std::int64_t now_ns();
+
+ private:
+  struct Timer {
+    std::int64_t at_ns;
+    std::uint64_t seq;  // live only while it equals the endpoint's
+    Endpoint* ep;
+  };
+  struct Later {
+    bool operator()(const Timer& a, const Timer& b) const {
+      return a.at_ns > b.at_ns;
+    }
+  };
+
+  void worker_loop();
+  /// Pops every due, superseded or moved entry off the heap top; due
+  /// endpoints join ready_.  Caller holds mu_.
+  void fire_timers(std::int64_t now);
+  /// Pushes `ep`'s one live entry.  Caller holds mu_.
+  void push_timer(Endpoint* ep, std::int64_t at_ns);
+
+  std::mutex mu_;
+  std::condition_variable idle_cv_;   // idle threads without timer duty
+  std::condition_variable timer_cv_;  // the idle thread watching the heap
+  std::deque<Endpoint*> ready_;       // the shared queue
+  std::vector<Timer> heap_;           // min-heap on at_ns
+  std::uint64_t timer_seq_ = 0;
+  std::size_t idle_ = 0;              // threads waiting on idle_cv_
+  bool timer_waiter_ = false;
+  std::int64_t timer_wait_ns_ = 0;    // when the timer waiter wakes
+  bool stopping_ = false;
+  std::vector<std::thread> threads_;
+};
+
+}  // namespace psmr::transport

@@ -17,21 +17,29 @@ Network::~Network() {
 }
 
 std::pair<NodeId, std::shared_ptr<Mailbox>> Network::register_node() {
-  std::lock_guard lock(mu_);
-  NodeId id = next_id_++;
+  return register_node(nullptr);
+}
+
+std::pair<NodeId, std::shared_ptr<Mailbox>> Network::register_node(
+    Endpoint* owner) {
   auto mailbox = std::make_shared<Mailbox>();
-  nodes_.emplace(id, mailbox);
-  return {id, std::move(mailbox)};
+  mailbox->owner_ = owner;
+  std::lock_guard lock(mu_);
+  nodes_.push_back(Node{mailbox});
+  return {static_cast<NodeId>(nodes_.size()), std::move(mailbox)};
+}
+
+Mailbox* Network::route(NodeId from, NodeId to) const {
+  std::lock_guard lock(mu_);
+  if (from - 1 < nodes_.size() && !nodes_[from - 1].connected) return nullptr;
+  if (to - 1 >= nodes_.size() || !nodes_[to - 1].connected) return nullptr;
+  return nodes_[to - 1].mailbox.get();
 }
 
 bool Network::send(Message msg) {
   if (shutdown_) return false;
-  {
-    std::lock_guard lock(mu_);
-    if (disconnected_.contains(msg.from) || disconnected_.contains(msg.to)) {
-      return false;
-    }
-  }
+  Mailbox* mailbox = route(msg.from, msg.to);
+  if (mailbox == nullptr) return false;
   double drop_p = drop_probability_.load(std::memory_order_relaxed);
   if (drop_p > 0.0) {
     std::lock_guard lock(drop_rng_mu_);
@@ -44,7 +52,7 @@ bool Network::send(Message msg) {
   bytes_sent_.fetch_add(msg.payload.size(), std::memory_order_relaxed);
 
   std::int64_t delay = delay_us_.load(std::memory_order_relaxed);
-  if (delay <= 0) return deliver(std::move(msg));
+  if (delay <= 0) return mailbox->push(std::move(msg));
 
   std::lock_guard lock(delay_mu_);
   delayed_.push(Delayed{util::now_us() + delay, delay_seq_++, std::move(msg)});
@@ -58,30 +66,23 @@ bool Network::send(NodeId from, NodeId to, std::uint16_t type,
 }
 
 bool Network::deliver(Message&& msg) {
-  std::shared_ptr<Mailbox> mailbox;
-  {
-    std::lock_guard lock(mu_);
-    auto it = nodes_.find(msg.to);
-    if (it == nodes_.end()) return false;
-    if (disconnected_.contains(msg.to)) return false;
-    mailbox = it->second;
-  }
-  return mailbox->push(std::move(msg));
+  // The receiver may have been disconnected while the message was delayed.
+  Mailbox* mailbox = route(kNoNode, msg.to);
+  return mailbox != nullptr && mailbox->push(std::move(msg));
 }
 
-void Network::disconnect(NodeId node) {
-  std::lock_guard lock(mu_);
-  disconnected_.insert(node);
-}
+void Network::disconnect(NodeId node) { set_connected(node, false); }
 
-void Network::reconnect(NodeId node) {
+void Network::reconnect(NodeId node) { set_connected(node, true); }
+
+void Network::set_connected(NodeId node, bool connected) {
   std::lock_guard lock(mu_);
-  disconnected_.erase(node);
+  if (node - 1 < nodes_.size()) nodes_[node - 1].connected = connected;
 }
 
 bool Network::connected(NodeId node) const {
   std::lock_guard lock(mu_);
-  return !disconnected_.contains(node);
+  return node - 1 >= nodes_.size() || nodes_[node - 1].connected;
 }
 
 void Network::set_drop_probability(double p) { drop_probability_ = p; }
@@ -99,7 +100,7 @@ void Network::shutdown() {
     std::lock_guard lock(mu_);
     if (shutdown_.exchange(true)) return;
     boxes.reserve(nodes_.size());
-    for (auto& [id, box] : nodes_) boxes.push_back(box);
+    for (auto& node : nodes_) boxes.push_back(node.mailbox);
   }
   for (auto& box : boxes) box->close();
   delay_cv_.notify_all();

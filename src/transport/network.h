@@ -2,31 +2,29 @@
 //
 // Stands in for the paper's cluster interconnect (Section VII-B: gigabit
 // switches, two NICs per node).  Every logical process registers a Node and
-// receives messages through a blocking mailbox; send() is asynchronous and
-// FIFO per sender→receiver pair, like TCP.  For protocol testing the network
-// can drop messages probabilistically, disconnect nodes (crash simulation),
-// and delay delivery through a timer wheel — Paxos must stay safe under all
-// of these, and the tests exercise exactly that.
+// receives messages through a mailbox; send() is asynchronous and FIFO per
+// sender→receiver pair, like TCP.  The network also owns the executor that
+// runs every Endpoint registered on it (transport/executor.h).  For protocol
+// testing the network can drop messages probabilistically, disconnect nodes
+// (crash simulation), and delay delivery through a timer wheel — Paxos must
+// stay safe under all of these, and the tests exercise exactly that.
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <queue>
 #include <thread>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "transport/executor.h"
+#include "transport/mailbox.h"
 #include "transport/message.h"
-#include "util/queue.h"
 #include "util/rng.h"
 
 namespace psmr::transport {
-
-/// A registered node's receive side.
-using Mailbox = util::BlockingQueue<Message>;
 
 /// Aggregate traffic counters, readable while the network runs.
 struct NetworkStats {
@@ -80,14 +78,31 @@ class Network {
   /// Closes all mailboxes; consumers drain and exit their loops.
   void shutdown();
 
+  /// The pool that runs this network's Endpoints.
+  [[nodiscard]] Executor& executor() { return executor_; }
+
  private:
+  friend class Endpoint;
+
+  struct Node {
+    std::shared_ptr<Mailbox> mailbox;
+    bool connected = true;
+  };
+
+  /// register_node() for an Endpoint: pushes to the mailbox schedule
+  /// `owner` on the executor.
+  std::pair<NodeId, std::shared_ptr<Mailbox>> register_node(Endpoint* owner);
+  /// The destination's mailbox if `to` is registered and connected (and
+  /// `from`, when registered, is connected too); one lock acquisition.
+  /// Nodes are never unregistered, so the pointer lives as long as the
+  /// network.
+  Mailbox* route(NodeId from, NodeId to) const;
+  void set_connected(NodeId node, bool connected);
   void pacer_loop();
   bool deliver(Message&& msg);
 
   mutable std::mutex mu_;
-  std::unordered_map<NodeId, std::shared_ptr<Mailbox>> nodes_;
-  std::unordered_set<NodeId> disconnected_;
-  NodeId next_id_ = 1;
+  std::vector<Node> nodes_;  // NodeId n lives at nodes_[n - 1]
 
   std::atomic<double> drop_probability_{0.0};
   std::atomic<std::int64_t> delay_us_{0};
@@ -115,6 +130,10 @@ class Network {
   std::priority_queue<Delayed, std::vector<Delayed>, std::greater<>> delayed_;
   std::uint64_t delay_seq_ = 0;
   std::thread pacer_;
+
+  // Last member: destroyed (its pool joined) before anything a handler
+  // still running could touch.
+  Executor executor_;
 };
 
 }  // namespace psmr::transport

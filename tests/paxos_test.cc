@@ -70,6 +70,65 @@ TEST(Batch, TruncationDetected) {
   EXPECT_FALSE(Batch::decode(enc).has_value());
 }
 
+TEST(Batch, PeekReadsTheHeaderOfEveryValueKind) {
+  Batch commands;
+  commands.slot = 1234;
+  commands.commands = {cmd(1), cmd(2), cmd(3)};
+  Batch lease;
+  lease.skip = true;
+  lease.slot = 99;
+  Batch noop_fill;  // what a failover coordinator proposes into a gap
+  noop_fill.skip = true;
+  for (const Batch* b : {&commands, &lease, &noop_fill}) {
+    const util::Payload enc = b->encode();
+    auto header = Batch::peek(enc.view());
+    auto decoded = Batch::decode(enc);
+    ASSERT_TRUE(header.has_value());
+    ASSERT_TRUE(decoded.has_value());
+    EXPECT_EQ(header->skip, decoded->skip);
+    EXPECT_EQ(header->slot, decoded->slot);
+    EXPECT_EQ(header->count, decoded->commands.size());
+  }
+  const util::Buffer truncated(8, 0);
+  EXPECT_FALSE(Batch::peek(truncated).has_value());
+}
+
+TEST(Ring, DecidedCountersMatchWhatLearnersDeliver) {
+  Network net;
+  RingConfig cfg = fast_config();
+  cfg.skip_interval = std::chrono::microseconds(500);
+  Ring ring(net, 0, cfg);
+  auto learner = ring.subscribe();
+  ring.start();
+  auto [me, mybox] = net.register_node();
+  constexpr std::uint64_t kN = 300;
+  for (std::uint64_t i = 0; i < kN; ++i) ASSERT_TRUE(ring.submit(me, cmd(i)));
+
+  std::uint64_t commands = 0, skips = 0, batches = 0;
+  const auto count = [&](const Decision& d) {
+    ++batches;
+    if (d.batch.skip) {
+      ++skips;
+    } else {
+      commands += d.batch.commands.size();
+    }
+  };
+  while (commands < kN) {
+    auto d = learner->next_for(std::chrono::seconds(5));
+    ASSERT_TRUE(d.has_value()) << "stalled at " << commands;
+    count(*d);
+  }
+  // Suppress the idle ring's fallback skips and drain what is in flight:
+  // the learner has then seen exactly the instances the coordinator
+  // decided.
+  ring.stall_coordinator_ticks(std::chrono::seconds(5));
+  while (auto d = learner->next_for(std::chrono::milliseconds(100))) count(*d);
+  const CoordinatorStats stats = ring.stats();
+  EXPECT_EQ(stats.decided_commands, kN);
+  EXPECT_EQ(stats.decided_batches, batches);
+  EXPECT_EQ(stats.decided_skips, skips);
+}
+
 TEST(Ring, DecidesSubmittedCommandsInOrder) {
   Network net;
   Ring ring(net, 0, fast_config());

@@ -62,7 +62,9 @@ TEST(ShardMap, RangeOfRoundTrips) {
     auto [lo, hi] = map.range_of(s);
     EXPECT_EQ(map.group_of(lo), s);
     EXPECT_EQ(map.group_of(hi), s);
-    if (s > 0) EXPECT_EQ(map.group_of(lo - 1), s - 1);
+    if (s > 0) {
+      EXPECT_EQ(map.group_of(lo - 1), s - 1);
+    }
   }
   // The last shard absorbs the clamped tail.
   EXPECT_EQ(map.range_of(6).second, ~std::uint64_t{0});

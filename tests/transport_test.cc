@@ -3,8 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
+#include <dirent.h>
+#include <memory>
+#include <mutex>
 #include <thread>
+#include <vector>
 
+#include "test_support.h"
 #include "transport/endpoint.h"
 
 namespace psmr::transport {
@@ -180,6 +186,215 @@ TEST(Endpoint, StopIsIdempotent) {
   echo.start();
   echo.stop();
   echo.stop();  // must not hang or crash
+}
+
+// --- Executor: actor semantics on the shared pool ---
+
+/// Records, per sender, the sequence numbers it saw, and flags any
+/// overlapping handle() calls.
+class RecordingEndpoint : public Endpoint {
+ public:
+  RecordingEndpoint(Network& net, std::size_t senders)
+      : Endpoint(net, "recorder"), seen(senders) {}
+  std::vector<std::vector<std::uint32_t>> seen;  // read after stop()
+  std::atomic<int> active{0};
+  std::atomic<int> overlaps{0};
+  std::atomic<int> handled{0};
+
+ protected:
+  void handle(Message msg) override {
+    if (active.fetch_add(1) != 0) overlaps++;
+    util::Reader r(msg.payload);
+    const std::uint32_t sender = r.u32();
+    seen[sender].push_back(r.u32());
+    std::this_thread::yield();  // widen the window for an overlap
+    active.fetch_sub(1);
+    handled++;
+  }
+};
+
+TEST(Executor, ConcurrentSendersSeeOneHandlerAtATimeInFifoOrder) {
+  constexpr std::size_t kSenders = 8;
+  constexpr std::uint32_t kPerSender = 2000;
+  Network net;
+  RecordingEndpoint rec(net, kSenders);
+  rec.start();
+  std::vector<std::thread> senders;
+  for (std::size_t s = 0; s < kSenders; ++s) {
+    senders.emplace_back([&, s] {
+      auto [me, box] = net.register_node();
+      for (std::uint32_t i = 0; i < kPerSender; ++i) {
+        util::Writer w;
+        w.u32(static_cast<std::uint32_t>(s));
+        w.u32(i);
+        ASSERT_TRUE(net.send(me, rec.id(), 1, w.take()));
+      }
+    });
+  }
+  for (auto& t : senders) t.join();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (rec.handled.load() < static_cast<int>(kSenders * kPerSender) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  rec.stop();
+  EXPECT_EQ(rec.overlaps.load(), 0);
+  for (std::size_t s = 0; s < kSenders; ++s) {
+    ASSERT_EQ(rec.seen[s].size(), kPerSender) << "sender " << s;
+    for (std::uint32_t i = 0; i < kPerSender; ++i) {
+      ASSERT_EQ(rec.seen[s][i], i) << "sender " << s;
+    }
+  }
+}
+
+/// handle() blocks until released; counts calls that start afterwards.
+class BlockingEndpoint : public Endpoint {
+ public:
+  explicit BlockingEndpoint(Network& net) : Endpoint(net, "blocker") {}
+  std::atomic<bool> entered{false};
+  std::atomic<bool> returned{false};
+  std::atomic<int> calls{0};
+  std::atomic<int> deadlines{0};
+
+  void release() {
+    std::lock_guard lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ protected:
+  void handle(Message) override {
+    calls++;
+    entered = true;
+    std::unique_lock lock(mu_);
+    cv_.wait(lock, [&] { return released_; });
+    returned = true;
+  }
+  [[nodiscard]] std::optional<Clock::time_point> next_deadline() override {
+    return Clock::now();  // always due: would run at once if allowed
+  }
+  void on_deadline() override { deadlines++; }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool released_ = false;
+};
+
+TEST(Executor, StopWaitsForRunningHandlerAndNothingRunsAfter) {
+  Network net;
+  BlockingEndpoint ep(net);
+  auto [me, box] = net.register_node();
+  ep.start();
+  ASSERT_TRUE(net.send(me, ep.id(), 1, {}));
+  while (!ep.entered.load()) std::this_thread::yield();
+  // More work queued behind the blocked call: none of it may run after
+  // stop() returns.
+  ASSERT_TRUE(net.send(me, ep.id(), 1, {}));
+  ASSERT_TRUE(net.send(me, ep.id(), 1, {}));
+
+  std::atomic<bool> stopped{false};
+  std::thread stopper([&] {
+    ep.stop();
+    stopped = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(stopped.load()) << "stop() returned while handle() ran";
+  ep.release();
+  stopper.join();
+  EXPECT_TRUE(ep.returned.load());
+  const int calls = ep.calls.load();
+  const int deadlines = ep.deadlines.load();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(ep.calls.load(), calls);
+  EXPECT_EQ(ep.deadlines.load(), deadlines);
+  EXPECT_EQ(calls, 1);
+  EXPECT_FALSE(net.send(me, ep.id(), 1, {}));  // mailbox closed
+}
+
+TEST(Executor, MoreTickingEndpointsThanPoolThreadsAllFire) {
+  constexpr std::size_t kEndpoints = 64;
+  Network net;
+  ASSERT_LT(net.executor().threads(), kEndpoints);
+  std::vector<std::unique_ptr<TickingEndpoint>> tickers;
+  for (std::size_t i = 0; i < kEndpoints; ++i) {
+    tickers.push_back(std::make_unique<TickingEndpoint>(net));
+    tickers.back()->start();
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  for (auto& t : tickers) t->stop();
+  for (std::size_t i = 0; i < kEndpoints; ++i) {
+    EXPECT_GE(tickers[i]->ticks.load(), 5) << "endpoint " << i;
+  }
+}
+
+/// Its deadline starts 20 ms out; any message moves it 200 ms out.
+class MovingDeadlineEndpoint : public Endpoint {
+ public:
+  explicit MovingDeadlineEndpoint(Network& net) : Endpoint(net, "mover") {}
+  std::atomic<int> asks{0};
+  std::atomic<int> fired{0};
+
+ protected:
+  void handle(Message) override {
+    deadline_ = Clock::now() + std::chrono::milliseconds(200);
+  }
+  [[nodiscard]] std::optional<Clock::time_point> next_deadline() override {
+    asks++;
+    return deadline_;
+  }
+  void on_deadline() override {
+    fired++;
+    deadline_ = Clock::time_point::max();
+  }
+
+ private:
+  Clock::time_point deadline_ = Clock::now() + std::chrono::milliseconds(20);
+};
+
+TEST(Executor, MovedDeadlineNeverWakesTheEndpoint) {
+  Network net;
+  MovingDeadlineEndpoint ep(net);
+  auto [me, box] = net.register_node();
+  ep.start();
+  while (ep.asks.load() == 0) std::this_thread::yield();  // 20 ms armed
+  ASSERT_TRUE(net.send(me, ep.id(), 1, {}));
+  while (ep.asks.load() < 2) std::this_thread::yield();  // 200 ms armed
+  const int asks = ep.asks.load();
+  // Past the original 20 ms deadline: its heap entry is stale and must be
+  // re-filed, not turned into a run.
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  EXPECT_EQ(ep.asks.load(), asks);
+  EXPECT_EQ(ep.fired.load(), 0);
+  ep.stop();
+}
+
+std::size_t process_threads() {
+  std::size_t n = 0;
+  if (DIR* dir = opendir("/proc/self/task")) {
+    while (dirent* e = readdir(dir)) {
+      if (e->d_name[0] != '.') ++n;
+    }
+    closedir(dir);
+  }
+  return n;
+}
+
+TEST(Executor, PsmrDeploymentThreadsArePoolPlusWorkers) {
+  constexpr std::size_t kMpl = 4;
+  const std::size_t before = process_threads();
+  ASSERT_GT(before, 0u) << "/proc/self/task unavailable";
+  smr::Deployment d(test_support::kv_config(smr::Mode::kPsmr, kMpl));
+  d.start();
+  const std::size_t added = process_threads() - before;
+  // The pool, one thread per worker per replica (2 replicas), and the
+  // network's delay pacer; the 5 rings' 20 coordinator and acceptor
+  // endpoints own no thread.
+  EXPECT_LE(added, std::max(1u, std::thread::hardware_concurrency()) +
+                       2 * kMpl + 2);
+  EXPECT_EQ(d.network().executor().threads(),
+            std::max(1u, std::thread::hardware_concurrency()));
 }
 
 }  // namespace
