@@ -2,8 +2,8 @@
 //
 // Every fig*_ binary regenerates one figure of the paper's evaluation
 // (Section VII).  Default mode drives the calibrated simulator
-// (deterministic, core-count independent — see DESIGN.md's substitution
-// table); pass --real to run the real in-process runtime instead and print
+// (deterministic, core-count independent); pass --real to run the real
+// in-process runtime instead and print
 // host-measured numbers (this container exposes very few cores, so real
 // numbers show protocol overhead, not 8-way scaling).
 //

@@ -4,9 +4,9 @@
 // system: the window throttles arrivals as soon as latency grows.  This
 // bench drives the fig3 independent mix (100% uniform reads) open loop on
 // the live runtime (P-SMR, mpl 4) — Poisson arrivals at a held offered
-// rate — with the admission valve (smr/admission.h) off and on at every
-// point.  The rates are multiples (0.5, 1, 1.5, 2x) of the host's own
-// closed-loop capacity, measured first, since the core count sets the knee.
+// rate, bounded by the driver's outstanding cap.  The rates are multiples
+// (0.5, 1, 1.5, 2x) of the host's own closed-loop capacity, measured
+// first, since the core count sets the knee.
 //
 // Gate (what the live runtime guarantees, at every point): each arrival is
 // accounted for (offered == submitted + shed_valve + dispatch_failed), no
@@ -26,7 +26,6 @@ namespace {
 
 struct RatePoint {
   double offered_kcps = 0;
-  bool admission = false;
   workload::RunResult r;
 
   [[nodiscard]] bool pass() const {
@@ -36,11 +35,9 @@ struct RatePoint {
 };
 
 /// One open-loop point on the live runtime.
-workload::RunResult run_point(const Options& opt, double offered_cps,
-                              bool admission) {
-  auto dcfg = real_kv_config(smr::Mode::kPsmr, /*mpl=*/4, /*keys=*/200'000);
-  dcfg.admission.enabled = admission;
-  smr::Deployment d(std::move(dcfg));
+workload::RunResult run_point(const Options& opt, double offered_cps) {
+  smr::Deployment d(
+      real_kv_config(smr::Mode::kPsmr, /*mpl=*/4, /*keys=*/200'000));
   d.start();
   workload::KvWorkloadSpec spec;
   spec.clients = opt.clients_override ? opt.clients_override : 4;
@@ -72,28 +69,24 @@ int main(int argc, char** argv) {
               false, 16, &base_run);
   const double host_kcps = base_run.kcps;
   std::printf("host closed-loop capacity %.1f Kcps\n", host_kcps);
-  std::printf("%9s %5s | %8s %8s %7s %6s %8s | %8s %9s %9s\n", "offered",
-              "valve", "offered#", "submit#", "shed_v", "failed", "shed_rej",
-              "goodput", "p50us", "p99us");
+  std::printf("%9s | %8s %8s %7s %6s | %8s %9s %9s\n", "offered",
+              "offered#", "submit#", "shed_v", "failed", "goodput", "p50us",
+              "p99us");
 
   std::vector<RatePoint> points;
   bool pass = true;
   for (double frac : {0.5, 1.0, 1.5, 2.0}) {
-    for (bool admission : {false, true}) {
-      RatePoint p;
-      p.offered_kcps = frac * host_kcps;
-      p.admission = admission;
-      p.r = run_point(opt, p.offered_kcps * 1000.0, admission);
-      const auto& r = p.r;
-      std::printf("%9.1f %5s | %8llu %8llu %7llu %6llu %8llu | %8.1f %9.0f "
-                  "%9.0f%s\n",
-                  p.offered_kcps, admission ? "on" : "off", ull(r.offered),
-                  ull(r.submitted), ull(r.shed_valve), ull(r.dispatch_failed),
-                  ull(r.shed_rejected), r.kcps, r.p50_latency_us,
-                  r.p99_latency_us, p.pass() ? "" : "  <- FAIL");
-      pass &= p.pass();
-      points.push_back(std::move(p));
-    }
+    RatePoint p;
+    p.offered_kcps = frac * host_kcps;
+    p.r = run_point(opt, p.offered_kcps * 1000.0);
+    const auto& r = p.r;
+    std::printf("%9.1f | %8llu %8llu %7llu %6llu | %8.1f %9.0f %9.0f%s\n",
+                p.offered_kcps, ull(r.offered), ull(r.submitted),
+                ull(r.shed_valve), ull(r.dispatch_failed), r.kcps,
+                r.p50_latency_us, r.p99_latency_us,
+                p.pass() ? "" : "  <- FAIL");
+    pass &= p.pass();
+    points.push_back(std::move(p));
   }
   std::printf("gate: offered == submitted + shed_valve + dispatch_failed, "
               "dispatch_failed == 0, goodput > 0 at every point: %s\n",
@@ -116,13 +109,12 @@ int main(int argc, char** argv) {
       const auto& r = p.r;
       std::fprintf(
           f,
-          "%s\n      {\"offered_kcps\": %.1f, \"admission\": %s, "
+          "%s\n      {\"offered_kcps\": %.1f, "
           "\"offered\": %llu, \"submitted\": %llu, \"shed_valve\": %llu, "
-          "\"dispatch_failed\": %llu, \"shed_rejected\": %llu, "
+          "\"dispatch_failed\": %llu, "
           "\"goodput_kcps\": %.1f, \"p50_us\": %.0f, \"p99_us\": %.0f}",
-          i ? "," : "", p.offered_kcps, p.admission ? "true" : "false",
-          ull(r.offered), ull(r.submitted), ull(r.shed_valve),
-          ull(r.dispatch_failed), ull(r.shed_rejected), r.kcps,
+          i ? "," : "", p.offered_kcps, ull(r.offered), ull(r.submitted),
+          ull(r.shed_valve), ull(r.dispatch_failed), r.kcps,
           r.p50_latency_us, r.p99_latency_us);
     }
     std::fprintf(f, "\n    ],\n    \"pass\": %s\n  }\n}\n",

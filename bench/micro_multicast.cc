@@ -1,8 +1,8 @@
 // Micro-benchmarks for the real atomic-multicast stack: end-to-end
 // submit→deliver throughput through one Paxos ring, the effect of the 8 KB
-// batch bound, and — the batching headline — paced mpl-4 traffic with the
-// fixed-timeout batcher vs the adaptive one.  Runs the real protocol
-// threads, so absolute numbers depend on the host's core count.
+// batch bound, and paced mpl-4 traffic, where the sparse submits seal each
+// batch at once.  Runs the real protocol threads, so absolute numbers
+// depend on the host's core count.
 //
 // Besides the usual Google Benchmark output, `--json <path>` writes a
 // machine-readable summary (decided batches, mean commands per batch,
@@ -36,7 +36,6 @@ struct BenchRecord {
   std::uint64_t decided_skips = 0;
   double cmds_per_batch = 0.0;
   double ns_per_cmd = 0.0;
-  std::uint64_t batch_timeout_us = 0;
 };
 
 std::vector<BenchRecord>& records() {
@@ -64,7 +63,6 @@ void record(std::string name, std::uint64_t commands,
                 std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
                     .count()) /
                 static_cast<double>(commands);
-  r.batch_timeout_us = s.batch_timeout_us;
   for (auto& existing : records()) {
     if (existing.name == r.name) {
       existing = std::move(r);
@@ -86,14 +84,11 @@ void write_json(const std::string& path) {
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"commands\": %llu, "
                  "\"decided_batches\": %llu, \"decided_skips\": %llu, "
-                 "\"cmds_per_batch\": %.2f, \"ns_per_cmd\": %.1f, "
-                 "\"batch_timeout_us\": %llu}%s\n",
+                 "\"cmds_per_batch\": %.2f, \"ns_per_cmd\": %.1f}%s\n",
                  r.name.c_str(), static_cast<unsigned long long>(r.commands),
                  static_cast<unsigned long long>(r.decided_batches),
                  static_cast<unsigned long long>(r.decided_skips),
-                 r.cmds_per_batch, r.ns_per_cmd,
-                 static_cast<unsigned long long>(r.batch_timeout_us),
-                 i + 1 < records().size() ? "," : "");
+                 r.cmds_per_batch, r.ns_per_cmd, i + 1 < records().size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -186,14 +181,12 @@ BENCHMARK(BM_BusMulticastSingleGroup)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(300);
 
-// Paced mpl-4 traffic, fixed-timeout batcher (arg 0) vs adaptive (arg 1):
-// 4 worker rings each fed one command every ~300us — a trickle that never
-// fills a batch, which is exactly where adaptive timeouts earn their keep
-// by stretching the wait and coalescing many commands per consensus
-// instance.  The headline counter is cmds_per_batch, from the real
-// CoordinatorStats of the worker rings (skips excluded).
+// Paced mpl-4 traffic: 4 worker rings each fed one command every ~300us
+// against a 150us batch timeout — a trickle that never fills a batch, so
+// each ring seals its commands at once instead of waiting.  The headline
+// counter is cmds_per_batch, from the real CoordinatorStats of the worker
+// rings (skips excluded).
 void BM_BusPacedMpl4(benchmark::State& state) {
-  const bool adaptive = state.range(0) != 0;
   constexpr std::size_t kGroups = 4;
   constexpr auto kGap = std::chrono::microseconds(300);
 
@@ -202,11 +195,6 @@ void BM_BusPacedMpl4(benchmark::State& state) {
   cfg.num_groups = kGroups;
   cfg.ring.batch_timeout = std::chrono::microseconds(150);
   cfg.ring.skip_interval = std::chrono::microseconds(1500);
-  if (adaptive) {
-    cfg.ring.adaptive_batching = true;
-    cfg.ring.min_batch_timeout = std::chrono::microseconds(100);
-    cfg.ring.max_batch_timeout = std::chrono::microseconds(8000);
-  }
   multicast::Bus bus(net, cfg);
   std::vector<std::unique_ptr<multicast::MergeDeliverer>> subs;
   for (multicast::GroupId g = 0; g < kGroups; ++g) {
@@ -252,18 +240,13 @@ void BM_BusPacedMpl4(benchmark::State& state) {
   for (multicast::GroupId g = 0; g < kGroups; ++g) s += bus.ring_stats(g);
   state.SetItemsProcessed(static_cast<std::int64_t>(delivered));
   state.counters["cmds_per_batch"] = s.mean_commands_per_batch();
-  state.counters["batch_timeout_us"] =
-      static_cast<double>(s.batch_timeout_us);
-  record(adaptive ? "BusPacedMpl4/adaptive" : "BusPacedMpl4/fixed", delivered,
-         s, elapsed);
+  record("BusPacedMpl4", delivered, s, elapsed);
   bus.stop();
   net.shutdown();
 }
 // Fixed iteration count: the loop sleeps by design (paced open-loop load),
 // so Google Benchmark's adaptive iteration search would run for minutes.
 BENCHMARK(BM_BusPacedMpl4)
-    ->Arg(0)
-    ->Arg(1)
     ->Iterations(400)
     ->Unit(benchmark::kMillisecond);
 

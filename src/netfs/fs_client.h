@@ -2,8 +2,8 @@
 //
 // In the paper, FUSE intercepts kernel calls and redirects them to a proxy
 // shared by all clients on a node; here applications link the proxy
-// directly (the replicated backend and the command set are identical; see
-// DESIGN.md's substitution table).  Requests are LZ-compressed before
+// directly (the replicated backend and the command set are identical).
+// Requests are LZ-compressed before
 // multicast and responses decompressed on receipt, matching the paper's
 // pipeline.
 #pragma once

@@ -15,12 +15,6 @@ namespace {
 std::uint64_t slots(chrono::microseconds d) {
   return static_cast<std::uint64_t>(d.count());
 }
-
-chrono::microseconds initial_batch_timeout(const RingConfig& cfg) {
-  if (!cfg.adaptive_batching) return cfg.batch_timeout;
-  return std::clamp(cfg.batch_timeout, cfg.min_batch_timeout,
-                    cfg.max_batch_timeout);
-}
 }  // namespace
 
 Coordinator::Coordinator(transport::Network& net, RingId ring, RingConfig cfg,
@@ -39,9 +33,7 @@ Coordinator::Coordinator(transport::Network& net, RingId ring, RingConfig cfg,
       proposer_index_(proposer_index),
       round_(start_round),
       ballot_(make_ballot(start_round, proposer_index)),
-      jitter_((std::uint64_t{ring} << 32) ^ proposer_index ^ start_round),
-      batch_timeout_(initial_batch_timeout(cfg_)) {
-  stats_.batch_timeout_us = static_cast<std::uint64_t>(batch_timeout_.count());
+      jitter_((std::uint64_t{ring} << 32) ^ proposer_index ^ start_round) {
   last_submit_ = Clock::now();
   begin_prepare();
 }
@@ -124,13 +116,12 @@ void Coordinator::on_submit_many(const util::Payload& payload) {
 
 void Coordinator::after_submit() {
   const auto now = Clock::now();
-  const Clock::duration cap = 4 * batch_timeout_;
+  const Clock::duration cap = 4 * cfg_.batch_timeout;
   submit_gap_ += (std::min(now - last_submit_, cap) - submit_gap_) / 8;
   last_submit_ = now;
   // Waiting batch_timeout is not expected to add another submit, so it
-  // would only delay this one.  The adaptive batcher keeps its own policy:
-  // at sparse load it deliberately waits longer.
-  if (!cfg_.adaptive_batching && submit_gap_ > batch_timeout_) {
+  // would only delay this one.
+  if (submit_gap_ > cfg_.batch_timeout) {
     seal_batch(SealReason::kAtOnce);
   }
   pump_proposals();
@@ -156,7 +147,6 @@ void Coordinator::seal_batch(SealReason reason) {
   pending_.clear();
   pending_bytes_ = 0;
   nudge_peers(queue_batch(b, now_slot()));
-  adapt_timeout(reason, batch_bytes, batch_commands);
   {
     std::lock_guard lock(stats_mu_);
     ++stats_.sealed_batches;
@@ -168,8 +158,6 @@ void Coordinator::seal_batch(SealReason reason) {
       case SealReason::kTimeout: ++stats_.sealed_on_timeout; break;
       case SealReason::kAtOnce: ++stats_.sealed_at_once; break;
     }
-    stats_.batch_timeout_us =
-        static_cast<std::uint64_t>(batch_timeout_.count());
   }
 }
 
@@ -227,33 +215,6 @@ Coordinator::Clock::time_point Coordinator::slot_time(
   return Clock::time_point(chrono::microseconds(
       static_cast<std::int64_t>(slot) -
       clock_skew_us_.load(std::memory_order_relaxed)));
-}
-
-void Coordinator::adapt_timeout(SealReason reason, std::size_t batch_bytes,
-                                std::size_t batch_commands) {
-  if (!cfg_.adaptive_batching) return;
-  auto prev = batch_timeout_;
-  if (reason == SealReason::kTimeout) {
-    // The batch sealed by waiting, not by filling.  If it was mostly empty,
-    // the ring is lightly loaded: wait longer next time so more commands
-    // coalesce into one consensus instance.
-    if (batch_bytes < cfg_.max_batch_bytes / 2 &&
-        batch_commands < cfg_.max_batch_commands / 2) {
-      batch_timeout_ = std::min(batch_timeout_ * 2, cfg_.max_batch_timeout);
-      if (batch_timeout_ != prev) {
-        std::lock_guard lock(stats_mu_);
-        ++stats_.timeout_grows;
-      }
-    }
-  } else {
-    // The batch filled before the timeout fired: the ring is loaded, so the
-    // timeout only adds latency to the next lull — shrink it.
-    batch_timeout_ = std::max(batch_timeout_ / 2, cfg_.min_batch_timeout);
-    if (batch_timeout_ != prev) {
-      std::lock_guard lock(stats_mu_);
-      ++stats_.timeout_shrinks;
-    }
-  }
 }
 
 void Coordinator::pump_proposals() {
@@ -420,7 +381,7 @@ std::optional<Coordinator::Clock::time_point> Coordinator::next_deadline() {
   const auto consider = [&](Clock::time_point t) {
     if (!due || t < *due) due = t;
   };
-  if (!pending_.empty()) consider(batch_started_ + batch_timeout_);
+  if (!pending_.empty()) consider(batch_started_ + cfg_.batch_timeout);
   for (const auto& [inst, fl] : in_flight_) consider(fl.resend_at);
   if (cfg_.skip_interval.count() > 0 && idle()) {
     consider(slot_time(last_slot_ + slots(cfg_.rto)));
@@ -438,7 +399,7 @@ void Coordinator::on_deadline() {
   }
 
   // Seal a lingering partial batch.
-  if (!pending_.empty() && now - batch_started_ >= batch_timeout_) {
+  if (!pending_.empty() && now - batch_started_ >= cfg_.batch_timeout) {
     seal_batch(SealReason::kTimeout);
     pump_proposals();
   }

@@ -3,12 +3,10 @@
 // Responsibilities, mirroring the paper's multicast library (Section VI-A):
 //   * collects submitted commands into batches of at most 8 KB (or a batch
 //     timeout) — "commands multicast to a group are batched by the group's
-//     coordinator and order is established on batches of commands".  With
-//     a fixed timeout, a ring whose submits arrive further apart than the
-//     timeout (an inter-submit EWMA) seals each batch at once: waiting
-//     would add latency, not commands.  With RingConfig::adaptive_batching
-//     the timeout shrinks when batches seal full and grows when they seal
-//     sparse, within [min, max] bounds;
+//     coordinator and order is established on batches of commands".  A
+//     ring whose submits arrive further apart than the timeout (an
+//     inter-submit EWMA) seals each batch at once: waiting would add
+//     latency, not commands;
 //   * stamps every batch with a clock slot (now_slot(), microseconds, never
 //     below the previous slot + 1), the key the multicast merge orders on
 //     (multicast/merge.h);
@@ -29,7 +27,6 @@
 // earliest deadline (batch seal, retransmit, fallback skip, Phase 1 retry).
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <deque>
@@ -93,13 +90,6 @@ struct CoordinatorStats {
   std::uint64_t sealed_on_timeout = 0;  // batch timeout expired
   std::uint64_t sealed_at_once = 0;     // sparse submits: no wait
 
-  // Adaptive timeout trajectory.
-  std::uint64_t timeout_grows = 0;
-  std::uint64_t timeout_shrinks = 0;
-  /// Current effective batch timeout (the adaptive sample; equals the
-  /// configured batch_timeout when adaptive batching is off).
-  std::uint64_t batch_timeout_us = 0;
-
   // Submit-side coalescing as seen by this coordinator: messages received
   // vs commands they carried (> 1 command per message means upstream
   // submitters piggybacked onto one wire submit).
@@ -118,9 +108,7 @@ struct CoordinatorStats {
                                      static_cast<double>(sealed_batches);
   }
 
-  /// Aggregates counters across rings; batch_timeout_us keeps the maximum
-  /// (a "how far did any ring stretch" sample, since summing timeouts is
-  /// meaningless).
+  /// Aggregates counters across rings.
   CoordinatorStats& operator+=(const CoordinatorStats& o) {
     decided_batches += o.decided_batches;
     decided_commands += o.decided_commands;
@@ -133,9 +121,6 @@ struct CoordinatorStats {
     sealed_on_count += o.sealed_on_count;
     sealed_on_timeout += o.sealed_on_timeout;
     sealed_at_once += o.sealed_at_once;
-    timeout_grows += o.timeout_grows;
-    timeout_shrinks += o.timeout_shrinks;
-    batch_timeout_us = std::max(batch_timeout_us, o.batch_timeout_us);
     submit_msgs += o.submit_msgs;
     submit_commands += o.submit_commands;
     return *this;
@@ -207,8 +192,6 @@ class Coordinator : public transport::Endpoint {
   std::uint64_t queue_batch(Batch& b, std::uint64_t slot);
   /// Sends kPaxosCover to every merge peer this slot outruns.
   void nudge_peers(std::uint64_t slot);
-  void adapt_timeout(SealReason reason, std::size_t batch_bytes,
-                     std::size_t batch_commands);
   void pump_proposals();
   void propose(Instance inst, util::Payload value);
   void send_accepts(Instance inst);
@@ -266,9 +249,6 @@ class Coordinator : public transport::Endpoint {
   std::size_t pending_bytes_ = 0;
   Clock::time_point batch_started_{};
   std::deque<util::Payload> sealed_;
-  /// Effective batch timeout; fixed at cfg_.batch_timeout unless adaptive
-  /// batching moves it within [min_batch_timeout, max_batch_timeout].
-  std::chrono::microseconds batch_timeout_;
   /// Inter-submit-message gap, exponentially averaged (weight 1/8), each
   /// sample capped at 4x the batch timeout so one long pause is forgotten
   /// within a few submits.

@@ -127,20 +127,9 @@ struct RingConfig {
   /// Maximum commands per batch regardless of size.
   std::size_t max_batch_commands = 256;
   /// How long the coordinator waits for more commands before sealing a
-  /// non-empty batch.  With a fixed timeout, a ring whose submits arrive
-  /// further apart than this seals at once instead.  With adaptive_batching
-  /// this is only the starting point; the effective timeout moves within
-  /// [min_batch_timeout, max_batch_timeout].
+  /// non-empty batch.  A ring whose submits arrive further apart than this
+  /// seals at once instead.
   std::chrono::microseconds batch_timeout{200};
-  /// Adaptive batch timeouts: the coordinator shrinks its timeout when
-  /// batches seal full (high load — latency matters, batches fill anyway)
-  /// and grows it when batches seal on timeout while mostly empty (sparse
-  /// load — waiting longer coalesces more commands per consensus instance).
-  bool adaptive_batching = false;
-  /// Lower bound for the adaptive timeout.
-  std::chrono::microseconds min_batch_timeout{50};
-  /// Upper bound for the adaptive timeout.
-  std::chrono::microseconds max_batch_timeout{4000};
   /// Lease length for merged rings: a SKIP's slot is its proposal time plus
   /// this, a promise that the ring decides nothing earlier.  Skips are
   /// proposed on demand, when a merge peer's proposal outruns the lease

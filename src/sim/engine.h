@@ -4,7 +4,7 @@
 // scaling of replicas on 8-core cluster nodes.  This reproduction runs in a
 // container that exposes a single core, where real threads cannot exhibit
 // 8-way execution parallelism — so the figure benches drive these models
-// instead (see DESIGN.md, substitution table).  The real runtime
+// instead.  The real runtime
 // (transport/paxos/multicast/smr) exercises every protocol path and is
 // tested for correctness; the simulator reproduces the *performance shape*
 // with service-time constants calibrated from the paper's own single-thread

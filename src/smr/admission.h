@@ -1,160 +1,66 @@
-// Overload admission control at the ClientProxy/coordinator boundary.
+// Per-client admission control at the ClientProxy.
 //
 // The paper evaluates P-SMR only at fixed multiprogramming levels; past the
-// saturation knee an open-loop client population queues commands into the
-// multicast rings faster than replicas drain them, and every queued command
-// makes the ones behind it slower (growing pending maps, batch backlogs,
-// retransmissions).  Admission control converts that collapse into explicit,
-// fail-fast rejections (transport::MsgType::kSmrRejected) before a command
-// ever reaches a coordinator, so offered load past the knee degrades p99
-// gracefully instead of dragging goodput down.
+// saturation knee an open-loop client queues commands into the multicast
+// rings faster than replicas drain them, and every queued command makes the
+// ones behind it slower.  Admission control bounds each client instead: a
+// token bucket lets a proxy sustain at most `client_rate_cps` commands with
+// bursts up to `client_burst`, so one aggressive client cannot starve the
+// others.
 //
-// Two cooperating valves, in the order they are applied:
-//   * an occupancy-driven shed policy: the controller samples the multicast
-//     layer's CoordinatorStats and computes the in-ring backlog (commands
-//     submitted to coordinators but not yet decided) — the queue-depth
-//     gradient that IRON's utility-function admission planner drives
-//     per-flow rates from.  Backlog above `shed_enter_occupancy` starts
-//     shedding every new command; shedding stops only when the backlog
-//     falls back below `shed_exit_occupancy` (hysteresis, so the valve
-//     doesn't flap at the threshold);
-//   * a per-client token bucket: each client sustains at most
-//     `client_rate_cps` admissions with bursts up to `client_burst`, so one
-//     aggressive client cannot starve the others even below the occupancy
-//     thresholds.
-//
-// One controller is shared by every client proxy of a deployment (the
-// occupancy signal is global; the buckets are per ClientId).  Enforcement
-// happens inside ClientProxy::submit: a shed command never touches the bus —
-// the proxy loops a kSmrRejected frame through its own mailbox so the
-// rejection completes through poll() like any other response, one hop later.
+// Each ClientProxy owns its bucket (none when the rate is 0, the default).
+// Enforcement happens inside ClientProxy::submit: a throttled command never
+// touches the bus or the network — it completes through poll() at once with
+// Completion::rejected set, like any other response.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
-#include <mutex>
-#include <unordered_map>
-
-#include "paxos/coordinator.h"
-#include "smr/command.h"
 
 namespace psmr::smr {
 
 struct AdmissionConfig {
-  /// Master switch; a disabled config never sheds (Deployment then skips
-  /// building a controller at all).
-  bool enabled = false;
-
-  /// Per-client sustained admission rate, commands/sec.  0 disables the
-  /// token bucket (occupancy shedding still applies).
+  /// Per-client sustained admission rate, commands/sec.  0 turns admission
+  /// off.
   double client_rate_cps = 0;
   /// Token bucket capacity (maximum burst).  0 defaults to one batch's
   /// worth: max(1, client_rate_cps / 100).
   double client_burst = 0;
-
-  /// In-ring backlog (commands submitted to coordinators but not yet
-  /// decided) at which occupancy shedding starts...
-  std::uint64_t shed_enter_occupancy = 8192;
-  /// ...and the lower backlog at which it stops (hysteresis band).
-  std::uint64_t shed_exit_occupancy = 4096;
-
-  /// Occupancy sample cadence: admit() re-reads the CoordinatorStats source
-  /// at most this often.  0 samples on every admit() (tests).
-  std::int64_t occupancy_refresh_us = 1000;
 };
 
-/// Verdict for one command.  Non-kAdmit verdicts ride the kSmrRejected
-/// payload as a single byte so the client can tell throttling (its own
-/// bucket) from overload shedding (system-wide backlog).
-enum class Admit : std::uint8_t {
-  kAdmit = 0,
-  kThrottled = 1,     // per-client token bucket empty
-  kShedOverload = 2,  // occupancy shed policy active
-};
-
-[[nodiscard]] constexpr const char* admit_name(Admit a) {
-  switch (a) {
-    case Admit::kAdmit: return "admit";
-    case Admit::kThrottled: return "throttled";
-    case Admit::kShedOverload: return "shed-overload";
-  }
-  return "?";
-}
-
-/// Counters + gauges; snapshot type, aggregated with operator+=.
-struct AdmissionStats {
-  std::uint64_t admitted = 0;
-  std::uint64_t throttled = 0;      // token-bucket rejections
-  std::uint64_t shed_overload = 0;  // occupancy rejections
-  std::uint64_t shed_entries = 0;   // transitions into the shedding state
-  std::uint64_t occupancy_samples = 0;
-  /// Gauges (last sample wins on +=).
-  std::uint64_t last_occupancy = 0;
-  bool shedding = false;
-
-  [[nodiscard]] std::uint64_t rejected() const {
-    return throttled + shed_overload;
-  }
-
-  AdmissionStats& operator+=(const AdmissionStats& o) {
-    admitted += o.admitted;
-    throttled += o.throttled;
-    shed_overload += o.shed_overload;
-    shed_entries += o.shed_entries;
-    occupancy_samples += o.occupancy_samples;
-    last_occupancy = o.last_occupancy;
-    shedding = shedding || o.shedding;
-    return *this;
-  }
-};
-
-class AdmissionController {
+/// One client's token bucket; `client_rate_cps` must be positive.  Not
+/// thread-safe: its ClientProxy is single-threaded.
+class TokenBucket {
  public:
-  /// Supplies the aggregate CoordinatorStats the occupancy signal is
-  /// derived from (a Deployment passes its Bus::total_stats).
-  using OccupancySource = std::function<paxos::CoordinatorStats()>;
+  explicit TokenBucket(const AdmissionConfig& cfg)
+      : rate_(cfg.client_rate_cps),
+        burst_(cfg.client_burst > 0 ? cfg.client_burst
+                                    : std::max(1.0, rate_ / 100.0)) {}
 
-  AdmissionController(AdmissionConfig cfg, OccupancySource source);
-
-  AdmissionController(const AdmissionController&) = delete;
-  AdmissionController& operator=(const AdmissionController&) = delete;
-
-  /// Verdict for one command from `client` at time `now_us` (callers pass
-  /// util::now_us(); tests pass synthetic clocks).  Thread-safe.
-  Admit admit(ClientId client, std::int64_t now_us);
-
-  [[nodiscard]] AdmissionStats stats() const;
-  [[nodiscard]] const AdmissionConfig& config() const { return cfg_; }
-
-  /// The queue-depth signal: commands received by coordinators but not yet
-  /// decided.  (Commands lost to fault injection stay counted — a backlog
-  /// the ring will retransmit its way through.)
-  [[nodiscard]] static std::uint64_t occupancy_of(
-      const paxos::CoordinatorStats& s) {
-    return s.submit_commands > s.decided_commands
-               ? s.submit_commands - s.decided_commands
-               : 0;
+  /// Takes one token at `now_us` (callers pass util::now_us(); tests pass
+  /// synthetic clocks).  False means throttled.
+  bool take(std::int64_t now_us) {
+    if (!primed_) {  // the first command finds a full bucket
+      primed_ = true;
+      tokens_ = burst_;
+      last_us_ = now_us;
+    } else if (now_us > last_us_) {
+      tokens_ = std::min(
+          burst_, tokens_ + static_cast<double>(now_us - last_us_) * 1e-6 *
+                                rate_);
+      last_us_ = now_us;
+    }
+    if (tokens_ < 1.0) return false;
+    tokens_ -= 1.0;
+    return true;
   }
 
  private:
-  void refresh_occupancy_locked(std::int64_t now_us);
-
-  const AdmissionConfig cfg_;
-  const OccupancySource source_;
+  const double rate_;
   const double burst_;
-
-  mutable std::mutex mu_;
-  struct Bucket {
-    double tokens = 0;
-    std::int64_t last_us = 0;
-    bool primed = false;  // first admit() fills the bucket to burst
-  };
-  std::unordered_map<ClientId, Bucket> buckets_;
-  std::int64_t last_refresh_us_ = 0;
-  bool refreshed_once_ = false;
-  bool shedding_ = false;
-  std::uint64_t occupancy_ = 0;
-  AdmissionStats stats_;
+  double tokens_ = 0;
+  std::int64_t last_us_ = 0;
+  bool primed_ = false;
 };
 
 }  // namespace psmr::smr

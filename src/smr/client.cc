@@ -7,12 +7,9 @@ namespace psmr::smr {
 
 ClientProxy::ClientProxy(transport::Network& net, multicast::Bus& bus,
                          std::shared_ptr<const CGFunction> cg, ClientId id,
-                         std::shared_ptr<AdmissionController> admission)
-    : net_(net),
-      bus_(&bus),
-      cg_(std::move(cg)),
-      admission_(std::move(admission)),
-      id_(id) {
+                         AdmissionConfig admission)
+    : net_(net), bus_(&bus), cg_(std::move(cg)), id_(id) {
+  if (admission.client_rate_cps > 0) bucket_.emplace(admission);
   auto [node, box] = net.register_node();
   node_ = node;
   mailbox_ = std::move(box);
@@ -36,53 +33,42 @@ bool ClientProxy::dispatch(const Command& c, bool flush) {
 }
 
 std::optional<Seq> ClientProxy::submit(CommandId cmd, util::Buffer params) {
+  // The mailbox check keeps the no-wedge contract under shutdown: a spooled
+  // command's transport rejection only surfaces at flush time, so refuse up
+  // front once our own mailbox (closed by Network::shutdown) is dead.
+  if (mailbox_->closed()) return std::nullopt;
+  const Seq seq = next_seq_++;
+  if (bucket_ && !bucket_->take(util::now_us())) {
+    // Fail fast: the command never leaves the proxy.  It completes through
+    // poll() like any reply, so callers observe exactly one completion per
+    // accepted command.
+    Completion done;
+    done.seq = seq;
+    done.rejected = true;
+    ready_.push_back(std::move(done));
+    return seq;
+  }
   Command c;
   c.cmd = cmd;
   c.client = id_;
-  c.seq = next_seq_++;
+  c.seq = seq;
   c.reply_to = node_;
   c.params = std::move(params);
   c.groups = cg_ ? cg_->groups(c) : multicast::GroupSet::single(0);
-  const Seq seq = c.seq;
-  if (admission_) {
-    Admit verdict = admission_->admit(id_, util::now_us());
-    if (verdict != Admit::kAdmit) {
-      // Fail fast: the command never reaches a coordinator.  The rejection
-      // rides the normal response path — a kSmrRejected frame looped
-      // through our own mailbox — so poll() completes it like any reply
-      // and callers observe exactly one completion per accepted command.
-      Response r;
-      r.client = id_;
-      r.seq = seq;
-      r.payload = util::Buffer{static_cast<std::uint8_t>(verdict)};
-      pending_.emplace(seq, Pending{std::move(c), util::now_us()});
-      if (!net_.send(node_, node_, transport::MsgType::kSmrRejected,
-                     r.encode())) {
-        pending_.erase(seq);  // shutdown race: nothing may pend
-        return std::nullopt;
-      }
-      return seq;
-    }
-  }
   // Marshal straight into the Bus's shared pooled SUBMIT_MANY frame; the
-  // next poll() entry (or a cap) flushes it.  The mailbox check keeps the
-  // no-wedge contract under shutdown: a spooled command's transport
-  // rejection only surfaces at flush time, so refuse up front once our own
-  // mailbox (closed by Network::shutdown) is dead.
-  const bool accepted = !mailbox_->closed() && dispatch(c, /*flush=*/false);
-  if (!accepted) return std::nullopt;  // rejected dispatch must not pend
+  // next poll() entry (or a cap) flushes it.
+  if (!dispatch(c, /*flush=*/false)) return std::nullopt;  // must not pend
   pending_.emplace(seq, Pending{std::move(c), util::now_us()});
   return seq;
 }
 
-void ClientProxy::absorb(Response resp, bool rejected) {
+void ClientProxy::absorb(Response resp) {
   auto it = pending_.find(resp.seq);
   if (it == pending_.end()) return;  // duplicate from another replica
   Completion done;
   done.seq = resp.seq;
   done.payload = std::move(resp.payload);
   done.latency_us = util::now_us() - it->second.submitted_us;
-  done.rejected = rejected;
   pending_.erase(it);
   ready_.push_back(std::move(done));
 }
@@ -121,8 +107,7 @@ std::optional<ClientProxy::Completion> ClientProxy::poll(
         PSMR_WARN("client " << id_ << ": malformed response");
         continue;
       }
-      absorb(std::move(*resp),
-             msg->type == transport::MsgType::kSmrRejected);
+      absorb(std::move(*resp));
     }
   }
 }
@@ -141,7 +126,7 @@ std::optional<util::Buffer> ClientProxy::call(
     auto done =
         poll(std::chrono::duration_cast<std::chrono::microseconds>(wait));
     if (done && done->seq == seq) {
-      if (done->rejected) return std::nullopt;  // admission shed: fail fast
+      if (done->rejected) return std::nullopt;  // throttled: fail fast
       return std::move(done->payload);
     }
     if (done) continue;  // an older call's completion; keep waiting for ours

@@ -32,16 +32,16 @@ namespace psmr::smr {
 class ClientProxy {
  public:
   /// Replicated-mode proxy: requests go through the atomic multicast bus.
-  /// `admission`, when set, is consulted before every dispatch — a shed
-  /// command never reaches the bus; it fails fast as a kSmrRejected
-  /// completion instead (see admission.h).
+  /// `admission` sizes the proxy's token bucket, consulted before every
+  /// dispatch — a throttled command never reaches the bus; it fails fast
+  /// as a rejected completion instead (see admission.h).
   /// submit() marshals the command straight into the Bus's submit spool
   /// (one open pooled frame per ring, shared by every client of the
   /// deployment) and returns; poll() flushes every ring's frame on entry,
   /// before it can block on the mailbox.  A retransmission flushes at once.
   ClientProxy(transport::Network& net, multicast::Bus& bus,
               std::shared_ptr<const CGFunction> cg, ClientId id,
-              std::shared_ptr<AdmissionController> admission = nullptr);
+              AdmissionConfig admission = {});
 
   /// Direct-mode proxy: requests go one-to-one to `server`.
   ClientProxy(transport::Network& net, transport::NodeId server, ClientId id);
@@ -65,27 +65,19 @@ class ClientProxy {
   /// proxy's mailbox is closed (shutdown), or the transport rejected the
   /// dispatch (a spool flush this submit triggered, or a direct send).  Nothing
   /// pends in that case — a failed submit can never wedge outstanding().
-  /// An admission-shed command, by contrast, IS accepted: it completes
-  /// through poll() with Completion::rejected set (fail fast, one loopback
-  /// hop), so the caller observes every accepted command exactly once.
+  /// A throttled command, by contrast, IS accepted: it completes through
+  /// poll() with Completion::rejected set (fail fast, no message sent), so
+  /// the caller observes every accepted command exactly once.
   [[nodiscard]] std::optional<Seq> submit(CommandId cmd, util::Buffer params);
 
   struct Completion {
     Seq seq = 0;
     util::Buffer payload;
     std::int64_t latency_us = 0;
-    /// True when admission control shed this command (kSmrRejected); the
-    /// payload then carries one byte, the smr::Admit verdict.
+    /// True when the proxy's token bucket throttled this command; the
+    /// payload is then empty.
     bool rejected = false;
   };
-
-  /// Decodes a rejected Completion's verdict byte (kThrottled on a
-  /// malformed payload, which cannot happen for locally produced frames).
-  [[nodiscard]] static Admit rejection_verdict(const Completion& done) {
-    if (done.payload.size() != 1) return Admit::kThrottled;
-    auto v = static_cast<Admit>(done.payload[0]);
-    return v == Admit::kShedOverload ? v : Admit::kThrottled;
-  }
 
   /// Waits up to `timeout` for any outstanding command to complete.
   /// Duplicate responses (from the other replicas) are absorbed silently.
@@ -107,13 +99,13 @@ class ClientProxy {
   bool dispatch(const Command& c, bool flush);
   /// Matches one decoded response against pending_; completions queue in
   /// ready_, duplicates (other replicas) are absorbed silently.
-  void absorb(Response resp, bool rejected = false);
+  void absorb(Response resp);
 
   transport::Network& net_;
   multicast::Bus* bus_ = nullptr;  // null in direct mode
   transport::NodeId server_ = transport::kNoNode;
   std::shared_ptr<const CGFunction> cg_;
-  std::shared_ptr<AdmissionController> admission_;
+  std::optional<TokenBucket> bucket_;  // empty: admission off
   ClientId id_;
   transport::NodeId node_ = transport::kNoNode;
   std::shared_ptr<transport::Mailbox> mailbox_;

@@ -76,11 +76,6 @@ Deployment::Deployment(DeploymentConfig cfg) : cfg_(std::move(cfg)) {
       break;
     }
   }
-  if (cfg_.admission.enabled && bus_) {
-    auto* bus = bus_.get();  // outlives the controller (both owned here)
-    admission_ = std::make_shared<AdmissionController>(
-        cfg_.admission, [bus] { return bus->total_stats(); });
-  }
 }
 
 std::unique_ptr<PsmrReplica> Deployment::build_psmr_replica(
@@ -215,7 +210,7 @@ std::unique_ptr<ClientProxy> Deployment::make_client() {
     case Mode::kSpsmr:
     case Mode::kPsmr:
       return std::make_unique<ClientProxy>(net_, *bus_, client_cg_, id,
-                                           admission_);
+                                           cfg_.admission);
     case Mode::kNoRep:
       return std::make_unique<ClientProxy>(net_, norep_->id(), id);
     case Mode::kLockServer: {
@@ -287,10 +282,6 @@ ResponseStats Deployment::response_stats() const {
   ResponseStats total;
   for (std::size_t i = 0; i < num_services(); ++i) total += response_stats(i);
   return total;
-}
-
-AdmissionStats Deployment::admission_stats() const {
-  return admission_ ? admission_->stats() : AdmissionStats{};
 }
 
 SpoolStats Deployment::spool_stats() const {

@@ -79,12 +79,11 @@ struct DeploymentConfig {
   /// k = mpl for P-SMR clients and for the sP-SMR/no-rep scheduler, and with
   /// k = 1 for SMR/sP-SMR clients.
   std::function<std::shared_ptr<const CGFunction>(std::size_t)> cg_factory;
-  /// Overload admission control at the proxy/coordinator boundary (see
-  /// admission.h).  When enabled, every client proxy of a replicated mode
-  /// shares one controller whose occupancy signal is the bus's aggregate
-  /// CoordinatorStats; shed commands fail fast as kSmrRejected completions.
-  /// Unreplicated modes (no-rep, lock server) have no multicast rings to
-  /// protect and ignore it.
+  /// Per-client admission control (see admission.h): every client proxy
+  /// of a replicated mode owns a token bucket of this size; throttled
+  /// commands fail fast as rejected completions.  Unreplicated modes
+  /// (no-rep, lock server) have no multicast rings to protect and ignore
+  /// it.
   AdmissionConfig admission;
   /// Checkpointing / log truncation / recovery (SMR and P-SMR modes; see
   /// replica_psmr.h and smr/snapshot.h).  `replica_id` is assigned per
@@ -140,12 +139,6 @@ class Deployment {
   /// Counters of the Bus's submit spool (zeros when the mode is
   /// unreplicated).
   [[nodiscard]] SpoolStats spool_stats() const;
-
-  /// Admission counters (zeros when admission is disabled or the mode is
-  /// unreplicated).
-  [[nodiscard]] AdmissionStats admission_stats() const;
-  /// The shared controller (nullptr when admission is disabled).
-  [[nodiscard]] AdmissionController* admission() { return admission_.get(); }
 
   /// Test hook: replica i in SMR/P-SMR mode (nullptr in other modes, or
   /// while replica i is crashed).  Exposes the per-worker merge-stream
@@ -203,7 +196,6 @@ class Deployment {
   transport::Network net_;
   std::unique_ptr<multicast::Bus> bus_;
   std::shared_ptr<const CGFunction> client_cg_;
-  std::shared_ptr<AdmissionController> admission_;
 
   /// Guards the psmr_ slot pointers, which crash_replica/restart_replica
   /// swap while monitor threads read the per-replica accessors.

@@ -41,7 +41,6 @@ enum MsgType : std::uint16_t {
   kSmrResponse = 30,    // replica worker -> client proxy
   kSmrDirect = 31,      // client -> unreplicated server (no-rep / lock server)
   kSmrResponseMany = 32, // replica -> client proxy: coalesced responses
-  kSmrRejected = 33,     // admission control -> client proxy: command shed
   kSmrSnapshotReq = 34,  // recovering replica -> peer: latest checkpoint?
   kSmrSnapshotRep = 35,  // peer -> recovering replica: u8 has, bytes frame
 };

@@ -20,19 +20,13 @@ class Histogram {
  public:
   static constexpr int kSubBuckets = 32;  // per power of two
 
-  void record(double value_us) { record_n(value_us, 1); }
-
-  /// Records `n` samples of the same value in O(1) — fluid/analytic models
-  /// (sim/model.h's overload model) complete thousands of commands per step
-  /// at one computed sojourn time.
-  void record_n(double value_us, std::uint64_t n) {
-    if (n == 0) return;
+  void record(double value_us) {
     if (value_us < 0) value_us = 0;
-    count_ += n;
-    sum_ += value_us * static_cast<double>(n);
+    ++count_;
+    sum_ += value_us;
     max_ = std::max(max_, value_us);
     min_ = std::min(min_, value_us);
-    buckets_[index_for(value_us)] += n;
+    ++buckets_[index_for(value_us)];
   }
 
   /// Adds all samples of another histogram into this one.

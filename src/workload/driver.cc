@@ -99,7 +99,7 @@ void client_loop(smr::Deployment& deployment, const KvWorkloadSpec& spec,
   auto record = [&](const smr::ClientProxy::Completion& done) {
     if (!in_window(util::now_us())) return;
     if (done.rejected) {
-      ++counters.shed_rejected;  // admission shed: not goodput, not latency
+      ++counters.shed_rejected;  // throttled: not goodput, not latency
       return;
     }
     latency.record(static_cast<double>(done.latency_us));

@@ -15,7 +15,7 @@
 // very few cores, so real-mode numbers measure protocol overhead rather
 // than the paper's 8-core scaling — the figure benches default to the
 // calibrated simulator (sim/model.h) and offer --real for these
-// measurements.  See DESIGN.md.
+// measurements.
 #pragma once
 
 #include <cstdint>
@@ -80,10 +80,10 @@ struct RunResult {
   std::uint64_t submitted = 0;  // accepted into the proxy pipeline
   std::uint64_t shed_valve = 0;  // dropped by the open-loop outstanding cap
   std::uint64_t dispatch_failed = 0;  // transport rejected the dispatch
-  /// Commands shed by admission control (smr::AdmissionController) whose
-  /// kSmrRejected completion landed inside the window — counted at poll
-  /// time and excluded from `completed` and the latency histogram, so
-  /// goodput (kcps) measures real work only.
+  /// Commands throttled by the proxy's token bucket (smr/admission.h) whose
+  /// rejected completion landed inside the window — counted at poll time
+  /// and excluded from `completed` and the latency histogram, so goodput
+  /// (kcps) measures real work only.
   std::uint64_t shed_rejected = 0;
   /// Replica-side execution batching over the measured interval, aggregated
   /// across all service instances (see smr::ExecStats): how the delivered

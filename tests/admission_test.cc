@@ -1,9 +1,10 @@
-// Admission control (smr/admission.h): token-bucket and occupancy-shed
-// policy units with synthetic clocks/stats, the kSmrRejected round trip
-// through a real deployment's client proxy, and the dispatch-failure
-// regression — a failed submit() must never leave a permanently-pending
-// command.
+// Admission control (smr/admission.h): the token bucket with a synthetic
+// clock, a throttled command's completion through a real deployment's
+// client proxy, and the dispatch-failure regression — a failed submit()
+// must never leave a permanently-pending command.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "kvstore/kv_service.h"
 #include "test_support.h"
@@ -13,12 +14,10 @@ namespace {
 
 using test_support::KvCluster;
 
-AdmissionConfig bucket_only(double rate_cps, double burst) {
+AdmissionConfig bucket(double rate_cps, double burst) {
   AdmissionConfig cfg;
-  cfg.enabled = true;
   cfg.client_rate_cps = rate_cps;
   cfg.client_burst = burst;
-  cfg.occupancy_refresh_us = 0;  // sample the (absent) source every admit
   return cfg;
 }
 
@@ -26,123 +25,67 @@ TEST(TokenBucket, BurstThenThrottleThenRefill) {
   // 100 cps, burst 3: the first 3 commands pass on the primed bucket, the
   // 4th throttles, and 10ms later exactly one token (100 cps * 10ms) has
   // come back.
-  AdmissionController ctl(bucket_only(100, 3), nullptr);
+  TokenBucket b(bucket(100, 3));
   std::int64_t t = 1'000'000;
-  EXPECT_EQ(ctl.admit(1, t), Admit::kAdmit);
-  EXPECT_EQ(ctl.admit(1, t), Admit::kAdmit);
-  EXPECT_EQ(ctl.admit(1, t), Admit::kAdmit);
-  EXPECT_EQ(ctl.admit(1, t), Admit::kThrottled);
-  EXPECT_EQ(ctl.admit(1, t + 10'000), Admit::kAdmit);
-  EXPECT_EQ(ctl.admit(1, t + 10'000), Admit::kThrottled);
-
-  auto s = ctl.stats();
-  EXPECT_EQ(s.admitted, 4u);
-  EXPECT_EQ(s.throttled, 2u);
-  EXPECT_EQ(s.shed_overload, 0u);
-  EXPECT_EQ(s.rejected(), 2u);
+  EXPECT_TRUE(b.take(t));
+  EXPECT_TRUE(b.take(t));
+  EXPECT_TRUE(b.take(t));
+  EXPECT_FALSE(b.take(t));
+  EXPECT_TRUE(b.take(t + 10'000));
+  EXPECT_FALSE(b.take(t + 10'000));
 }
 
 TEST(TokenBucket, RefillIsCappedAtBurst) {
   // A long idle period must not bank more than `burst` tokens.
-  AdmissionController ctl(bucket_only(1000, 2), nullptr);
+  TokenBucket b(bucket(1000, 2));
   std::int64_t t = 0;
-  EXPECT_EQ(ctl.admit(7, t), Admit::kAdmit);
-  EXPECT_EQ(ctl.admit(7, t), Admit::kAdmit);
-  EXPECT_EQ(ctl.admit(7, t), Admit::kThrottled);
+  EXPECT_TRUE(b.take(t));
+  EXPECT_TRUE(b.take(t));
+  EXPECT_FALSE(b.take(t));
   t += 60'000'000;  // a minute: 60000 tokens earned, 2 kept
-  EXPECT_EQ(ctl.admit(7, t), Admit::kAdmit);
-  EXPECT_EQ(ctl.admit(7, t), Admit::kAdmit);
-  EXPECT_EQ(ctl.admit(7, t), Admit::kThrottled);
+  EXPECT_TRUE(b.take(t));
+  EXPECT_TRUE(b.take(t));
+  EXPECT_FALSE(b.take(t));
 }
 
 TEST(TokenBucket, DefaultBurstIsOneBatchWorth) {
   // client_burst = 0 defaults to max(1, rate/100).
-  AdmissionController small(bucket_only(50, 0), nullptr);  // -> burst 1
-  EXPECT_EQ(small.admit(1, 0), Admit::kAdmit);
-  EXPECT_EQ(small.admit(1, 0), Admit::kThrottled);
+  TokenBucket small(bucket(50, 0));  // -> burst 1
+  EXPECT_TRUE(small.take(0));
+  EXPECT_FALSE(small.take(0));
 
-  AdmissionController big(bucket_only(1000, 0), nullptr);  // -> burst 10
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(big.admit(1, 0), Admit::kAdmit) << "token " << i;
-  }
-  EXPECT_EQ(big.admit(1, 0), Admit::kThrottled);
+  TokenBucket big(bucket(1000, 0));  // -> burst 10
+  for (int i = 0; i < 10; ++i) EXPECT_TRUE(big.take(0)) << "token " << i;
+  EXPECT_FALSE(big.take(0));
 }
 
 TEST(TokenBucket, ClientsHaveIndependentBuckets) {
-  // One aggressive client draining its bucket must not starve another.
-  AdmissionController ctl(bucket_only(100, 1), nullptr);
-  EXPECT_EQ(ctl.admit(1, 0), Admit::kAdmit);
-  EXPECT_EQ(ctl.admit(1, 0), Admit::kThrottled);
-  EXPECT_EQ(ctl.admit(2, 0), Admit::kAdmit);  // untouched bucket
-  EXPECT_EQ(ctl.admit(2, 0), Admit::kThrottled);
+  // Each proxy owns its bucket: one client draining its burst must not
+  // starve another client of the same deployment.
+  auto cfg = test_support::kv_config(smr::Mode::kPsmr, 2, /*initial_keys=*/64);
+  cfg.admission = bucket(0.001, 1);  // ~no refill inside the test
+  test_support::Cluster cluster(std::move(cfg));
+  auto greedy = cluster->make_client();
+  auto other = cluster->make_client();
+
+  EXPECT_TRUE(
+      greedy->call(kvstore::kKvRead, kvstore::encode_key(1)).has_value());
+  EXPECT_FALSE(
+      greedy->call(kvstore::kKvRead, kvstore::encode_key(1)).has_value());
+  EXPECT_TRUE(
+      other->call(kvstore::kKvRead, kvstore::encode_key(1)).has_value());
+  EXPECT_FALSE(
+      other->call(kvstore::kKvRead, kvstore::encode_key(1)).has_value());
 }
 
-TEST(OccupancyShed, HysteresisEntersHighExitsLow) {
-  // Synthetic occupancy source: in-ring backlog = submit - decided.
-  paxos::CoordinatorStats stats;
-  AdmissionConfig cfg;
-  cfg.enabled = true;
-  cfg.shed_enter_occupancy = 100;
-  cfg.shed_exit_occupancy = 40;
-  cfg.occupancy_refresh_us = 0;
-  AdmissionController ctl(cfg, [&] { return stats; });
-
-  auto at_backlog = [&](std::uint64_t backlog, std::int64_t t) {
-    stats.submit_commands = 1000 + backlog;
-    stats.decided_commands = 1000;
-    return ctl.admit(1, t);
-  };
-
-  EXPECT_EQ(at_backlog(99, 1), Admit::kAdmit);   // below enter
-  EXPECT_EQ(at_backlog(100, 2), Admit::kShedOverload);  // enter
-  // Between exit and enter: hysteresis holds the valve closed.
-  EXPECT_EQ(at_backlog(41, 3), Admit::kShedOverload);
-  EXPECT_EQ(at_backlog(40, 4), Admit::kAdmit);   // exit
-  // Between the thresholds again, now from below: stays open.
-  EXPECT_EQ(at_backlog(99, 5), Admit::kAdmit);
-
-  auto s = ctl.stats();
-  EXPECT_EQ(s.shed_overload, 2u);
-  EXPECT_EQ(s.shed_entries, 1u);  // one transition into shedding
-  EXPECT_FALSE(s.shedding);
-  EXPECT_EQ(s.last_occupancy, 99u);
-}
-
-TEST(OccupancyShed, RefreshCadenceLimitsSampling) {
-  // With a 1ms cadence the source is consulted once per window, so a
-  // backlog spike between samples is only seen at the next refresh.
-  paxos::CoordinatorStats stats;
-  AdmissionConfig cfg;
-  cfg.enabled = true;
-  cfg.shed_enter_occupancy = 10;
-  cfg.shed_exit_occupancy = 5;
-  cfg.occupancy_refresh_us = 1000;
-  AdmissionController ctl(cfg, [&] { return stats; });
-
-  EXPECT_EQ(ctl.admit(1, 0), Admit::kAdmit);  // sample #1: backlog 0
-  stats.submit_commands = 50;                 // spike
-  EXPECT_EQ(ctl.admit(1, 500), Admit::kAdmit);  // inside cadence: stale 0
-  EXPECT_EQ(ctl.admit(1, 1000), Admit::kShedOverload);  // refreshed
-  EXPECT_EQ(ctl.stats().occupancy_samples, 2u);
-}
-
-TEST(OccupancyShed, LostCommandsNeverUnderflow) {
-  paxos::CoordinatorStats s;
-  s.submit_commands = 10;
-  s.decided_commands = 25;  // decided > submitted (duplicate deliveries)
-  EXPECT_EQ(AdmissionController::occupancy_of(s), 0u);
-}
-
-// --- kSmrRejected round trip through a real deployment -------------------
+// --- Throttled commands through a real deployment -------------------------
 
 TEST(AdmissionRoundTrip, ThrottledCommandCompletesAsRejected) {
   // burst 2, negligible refill: commands 1-2 execute, 3 completes through
-  // poll() with Completion::rejected and the kThrottled verdict byte, and
-  // the pipeline is empty afterwards (no wedged pending entry).
+  // poll() with Completion::rejected and an empty payload, and the
+  // pipeline is empty afterwards (no wedged pending entry).
   auto cfg = test_support::kv_config(smr::Mode::kPsmr, 2, /*initial_keys=*/64);
-  cfg.admission.enabled = true;
-  cfg.admission.client_rate_cps = 0.001;  // ~no refill inside the test
-  cfg.admission.client_burst = 2;
+  cfg.admission = bucket(0.001, 2);
   test_support::Cluster cluster(std::move(cfg));
   auto proxy = cluster->make_client();
 
@@ -157,7 +100,7 @@ TEST(AdmissionRoundTrip, ThrottledCommandCompletesAsRejected) {
     ASSERT_TRUE(done.has_value()) << "completion " << i << " never arrived";
     if (done->rejected) {
       ++rejected;
-      EXPECT_EQ(ClientProxy::rejection_verdict(*done), Admit::kThrottled);
+      EXPECT_EQ(done->payload.size(), 0u);
     } else {
       ++executed;
     }
@@ -165,19 +108,43 @@ TEST(AdmissionRoundTrip, ThrottledCommandCompletesAsRejected) {
   EXPECT_EQ(executed, 2);
   EXPECT_EQ(rejected, 1);
   EXPECT_EQ(proxy->outstanding(), 0u);
+}
 
-  auto s = cluster->admission_stats();
-  EXPECT_EQ(s.admitted, 2u);
-  EXPECT_EQ(s.throttled, 1u);
+TEST(AdmissionRoundTrip, ThrottledCommandSendsNoMessage) {
+  // A throttled command completes inside the proxy: nothing goes on the
+  // network, not even a message to the proxy's own mailbox.  Idle learners
+  // still poll their acceptors for catch-up, so a single window may see
+  // unrelated traffic; over many throttled round trips, though, at least
+  // one window must see none.  A proxy that sends anything per rejection
+  // moves the counter in every window.
+  auto cfg = test_support::kv_config(smr::Mode::kSmr, 1, /*initial_keys=*/64);
+  cfg.admission = bucket(0.001, 1);  // ~no refill inside the test
+  test_support::Cluster cluster(std::move(cfg));
+  auto proxy = cluster->make_client();
+  ASSERT_TRUE(
+      proxy->call(kvstore::kKvRead, kvstore::encode_key(1)).has_value());
+
+  auto& net = cluster->network();
+  std::uint64_t quietest = ~std::uint64_t{0};
+  for (int i = 0; i < 50; ++i) {
+    const auto before = net.stats().messages_sent;
+    auto seq = proxy->submit(kvstore::kKvRead, kvstore::encode_key(1));
+    ASSERT_TRUE(seq.has_value());
+    auto done = proxy->poll(std::chrono::seconds(1));
+    ASSERT_TRUE(done.has_value()) << "round trip " << i;
+    EXPECT_EQ(done->seq, *seq);
+    EXPECT_TRUE(done->rejected) << "round trip " << i;
+    quietest = std::min(quietest, net.stats().messages_sent - before);
+  }
+  EXPECT_EQ(quietest, 0u);
+  EXPECT_EQ(proxy->outstanding(), 0u);
 }
 
 TEST(AdmissionRoundTrip, CallFailsFastOnShedCommand) {
-  // call() on a shed command returns nullopt quickly (one loopback hop)
-  // instead of burning its 10s timeout.
+  // call() on a throttled command returns nullopt at once instead of
+  // burning its 10s timeout.
   auto cfg = test_support::kv_config(smr::Mode::kSpsmr, 2, /*initial_keys=*/64);
-  cfg.admission.enabled = true;
-  cfg.admission.client_rate_cps = 0.001;
-  cfg.admission.client_burst = 1;
+  cfg.admission = bucket(0.001, 1);
   test_support::Cluster cluster(std::move(cfg));
   auto proxy = cluster->make_client();
 
@@ -192,12 +159,21 @@ TEST(AdmissionRoundTrip, CallFailsFastOnShedCommand) {
 }
 
 TEST(AdmissionRoundTrip, DisabledConfigNeverSheds) {
-  // Deployment with admission disabled builds no controller at all.
+  // The default config has admission off: a burst far past any default
+  // bucket size executes in full and nothing completes as rejected.
   KvCluster cluster(smr::Mode::kPsmr, 2, /*initial_keys=*/64);
-  EXPECT_EQ(cluster->admission(), nullptr);
-  auto s = cluster->admission_stats();
-  EXPECT_EQ(s.admitted, 0u);
-  EXPECT_EQ(s.rejected(), 0u);
+  auto proxy = cluster->make_client();
+  constexpr int kCommands = 200;
+  for (int i = 0; i < kCommands; ++i) {
+    ASSERT_TRUE(
+        proxy->submit(kvstore::kKvRead, kvstore::encode_key(1)).has_value());
+  }
+  for (int i = 0; i < kCommands; ++i) {
+    auto done = proxy->poll(std::chrono::seconds(10));
+    ASSERT_TRUE(done.has_value()) << "completion " << i << " never arrived";
+    EXPECT_FALSE(done->rejected) << "completion " << i;
+  }
+  EXPECT_EQ(proxy->outstanding(), 0u);
 }
 
 // --- Dispatch-failure regression ------------------------------------------
@@ -223,9 +199,7 @@ TEST(DispatchFailure, DirectModeSubmitSurfacesDisconnectedServer) {
 
 TEST(DispatchFailure, SubmitAfterShutdownPendsNothing) {
   auto cfg = test_support::kv_config(smr::Mode::kPsmr, 2, /*initial_keys=*/8);
-  cfg.admission.enabled = true;  // also cover the rejection-loopback branch
-  cfg.admission.client_rate_cps = 0.001;
-  cfg.admission.client_burst = 1;
+  cfg.admission = bucket(0.001, 1);  // also cover the throttled branch
   test_support::Cluster cluster(std::move(cfg));
   auto proxy = cluster->make_client();
   cluster->stop();  // network shut down under the live proxy
@@ -233,8 +207,8 @@ TEST(DispatchFailure, SubmitAfterShutdownPendsNothing) {
   // Admitted path: dispatch fails -> nullopt, nothing pending.
   EXPECT_FALSE(
       proxy->submit(kvstore::kKvRead, kvstore::encode_key(1)).has_value());
-  // Shed path: the rejection loopback cannot be delivered either -> the
-  // provisional pending entry must be rolled back, not leaked.
+  // Throttled path: the closed mailbox still refuses first, so nothing
+  // pends and no rejected completion is queued.
   EXPECT_FALSE(
       proxy->submit(kvstore::kKvRead, kvstore::encode_key(1)).has_value());
   EXPECT_EQ(proxy->outstanding(), 0u);

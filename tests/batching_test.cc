@@ -1,6 +1,6 @@
 // Batching-focused unit suite: seal triggers (byte cap, command cap,
-// timeout), the adaptive-timeout controller's grow/shrink behavior and
-// bounds, SUBMIT_MANY framing and its hostile-frame rejection, the Bus's
+// timeout, sparse submits), SUBMIT_MANY framing and its hostile-frame
+// rejection, the Bus's
 // submit spool, and the frame spool's flush-pause rendezvous on the
 // submit direction (the reply direction runs it in response_batching_test).
 //
@@ -145,120 +145,6 @@ TEST(BatchSeal, SparseSubmitsSealAtOnce) {
   EXPECT_EQ(s.sealed_commands, kCommands);
   EXPECT_GE(s.sealed_at_once, kCommands - 4);
   EXPECT_LE(s.sealed_on_timeout, 4u);
-}
-
-TEST(BatchSeal, FixedTimeoutReportedInStats) {
-  Network net;
-  RingConfig cfg;
-  cfg.batch_timeout = std::chrono::microseconds(700);
-  Ring ring(net, 0, cfg);
-  EXPECT_EQ(ring.stats().batch_timeout_us, 700u);
-}
-
-TEST(AdaptiveBatching, TimeoutGrowsOnSparseTraffic) {
-  Network net;
-  RingConfig cfg;
-  cfg.adaptive_batching = true;
-  cfg.batch_timeout = std::chrono::microseconds(200);
-  cfg.min_batch_timeout = std::chrono::microseconds(100);
-  cfg.max_batch_timeout = std::chrono::microseconds(1600);
-  Ring ring(net, 0, cfg);
-  auto learner = ring.subscribe();
-  ring.start();
-  auto [me, mybox] = net.register_node();
-
-  // A trickle: each command sits alone until the timeout seals it, so every
-  // seal is a sparse timeout seal and the timeout doubles 200 -> 1600.
-  std::uint64_t delivered = 0;
-  for (std::uint64_t i = 0; i < 8; ++i) {
-    ring.submit(me, cmd(i));
-    // Wait for delivery so the next command definitely opens a new batch.
-    while (delivered <= i) {
-      auto d = learner->next_for(std::chrono::seconds(5));
-      ASSERT_TRUE(d.has_value());
-      if (!d->batch.skip) delivered += d->batch.commands.size();
-    }
-  }
-
-  auto s = ring.stats();
-  EXPECT_GE(s.timeout_grows, 3u);
-  EXPECT_EQ(s.batch_timeout_us, 1600u);  // clamped at max
-  EXPECT_EQ(s.timeout_shrinks, 0u);
-}
-
-TEST(AdaptiveBatching, TimeoutShrinksUnderLoad) {
-  Network net;
-  RingConfig cfg;
-  cfg.adaptive_batching = true;
-  cfg.batch_timeout = std::chrono::microseconds(1600);
-  cfg.min_batch_timeout = std::chrono::microseconds(100);
-  cfg.max_batch_timeout = std::chrono::microseconds(3200);
-  cfg.max_batch_commands = 8;
-  Ring ring(net, 0, cfg);
-  auto learner = ring.subscribe();
-  ring.start();
-  auto [me, mybox] = net.register_node();
-
-  // A flood: batches seal on the command cap, so every seal shrinks the
-  // timeout 1600 -> 100 (clamped at min after 4 halvings).  Bounds are >=
-  // / <= because a descheduled submitter can sneak in a timeout seal.
-  for (std::uint64_t i = 0; i < 64; ++i) ring.submit(me, cmd(i));
-  drain_ordered(*learner, 64);
-
-  auto s = ring.stats();
-  EXPECT_GE(s.timeout_shrinks, 3u);
-  EXPECT_GE(s.batch_timeout_us, 100u);
-  EXPECT_LE(s.batch_timeout_us, 400u);
-  EXPECT_GE(s.sealed_on_count, 6u);
-}
-
-TEST(AdaptiveBatching, TimeoutStaysWithinBounds) {
-  Network net;
-  RingConfig cfg;
-  cfg.adaptive_batching = true;
-  cfg.batch_timeout = std::chrono::microseconds(400);
-  cfg.min_batch_timeout = std::chrono::microseconds(200);
-  cfg.max_batch_timeout = std::chrono::microseconds(800);
-  cfg.max_batch_commands = 4;
-  Ring ring(net, 0, cfg);
-  auto learner = ring.subscribe();
-  ring.start();
-  auto [me, mybox] = net.register_node();
-
-  // Alternate floods (shrink pressure) and trickles (grow pressure),
-  // sampling the bound invariant throughout.
-  std::uint64_t sent = 0;
-  std::uint64_t delivered = 0;
-  auto drain_to = [&](std::uint64_t n) {
-    while (delivered < n) {
-      auto d = learner->next_for(std::chrono::seconds(5));
-      ASSERT_TRUE(d.has_value());
-      if (!d->batch.skip) delivered += d->batch.commands.size();
-    }
-  };
-  for (int round = 0; round < 4; ++round) {
-    for (int i = 0; i < 16; ++i) ring.submit(me, cmd(sent++));
-    drain_to(sent);
-    auto s = ring.stats();
-    EXPECT_GE(s.batch_timeout_us, 200u);
-    EXPECT_LE(s.batch_timeout_us, 800u);
-    ring.submit(me, cmd(sent++));
-    drain_to(sent);
-    s = ring.stats();
-    EXPECT_GE(s.batch_timeout_us, 200u);
-    EXPECT_LE(s.batch_timeout_us, 800u);
-  }
-}
-
-TEST(AdaptiveBatching, StartingTimeoutClampedIntoBounds) {
-  Network net;
-  RingConfig cfg;
-  cfg.adaptive_batching = true;
-  cfg.batch_timeout = std::chrono::microseconds(50);  // below min
-  cfg.min_batch_timeout = std::chrono::microseconds(300);
-  cfg.max_batch_timeout = std::chrono::microseconds(900);
-  Ring ring(net, 0, cfg);
-  EXPECT_EQ(ring.stats().batch_timeout_us, 300u);
 }
 
 /// A SUBMIT_MANY frame: u32 count + count length-prefixed commands.

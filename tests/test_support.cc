@@ -51,15 +51,6 @@ paxos::RingConfig fault_ring(std::size_t num_acceptors) {
   return ring;
 }
 
-paxos::RingConfig batching_ring(std::size_t num_acceptors) {
-  paxos::RingConfig ring = fast_ring(num_acceptors);
-  ring.adaptive_batching = true;
-  ring.batch_timeout = std::chrono::microseconds(300);
-  ring.min_batch_timeout = std::chrono::microseconds(100);
-  ring.max_batch_timeout = std::chrono::microseconds(8000);
-  return ring;
-}
-
 std::vector<NamedRing> aggressive_batching_rings() {
   // Tiny timeout, huge caps: nearly every command decides alone, maximal
   // consensus-instance pressure.

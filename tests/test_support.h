@@ -57,11 +57,6 @@ paxos::RingConfig fast_ring(std::size_t num_acceptors = 3);
 /// aggressive retransmission timer so drop/crash recovery is quick.
 paxos::RingConfig fault_ring(std::size_t num_acceptors = 3);
 
-/// Ring tuning for the batching suites: adaptive batch timeouts enabled
-/// with wide bounds, so occupancy-sensitive tests can watch the timeout
-/// move, plus the fast_ring() skip/rto settings for small hosts.
-paxos::RingConfig batching_ring(std::size_t num_acceptors = 3);
-
 /// A named aggressive-batching ring config, used to re-run ordering
 /// suites under batching extremes.
 struct NamedRing {

@@ -164,22 +164,6 @@ TEST(Histogram, QuantilesSurviveMerge) {
   EXPECT_EQ(low.quantile(0.5), before);
 }
 
-TEST(Histogram, RecordNMatchesRepeatedRecord) {
-  Histogram weighted, repeated;
-  weighted.record_n(250.0, 1000);
-  weighted.record_n(9000.0, 10);
-  weighted.record_n(123.0, 0);  // zero weight: no sample, no min/max update
-  for (int i = 0; i < 1000; ++i) repeated.record(250.0);
-  for (int i = 0; i < 10; ++i) repeated.record(9000.0);
-  EXPECT_EQ(weighted.count(), repeated.count());
-  EXPECT_NEAR(weighted.mean(), repeated.mean(), 1e-9);
-  EXPECT_EQ(weighted.min(), repeated.min());
-  EXPECT_EQ(weighted.max(), repeated.max());
-  for (double q : {0.5, 0.99, 1.0}) {
-    EXPECT_NEAR(weighted.quantile(q), repeated.quantile(q), 1e-9);
-  }
-}
-
 TEST(Histogram, RelativeErrorBounded) {
   Histogram h;
   for (double v : {1.0, 10.0, 100.0, 1000.0, 123456.0}) {
