@@ -5,8 +5,9 @@
 // multi-Paxos), plus three extensions the rest of the stack relies on:
 //   * it learns DECIDE messages and stores decided values, serving learner
 //     catch-up requests (recovering from dropped DECIDEs or late joiners);
-//   * PROMISE replies carry every accepted (instance, ballot, value) at or
-//     above the requested instance so a new coordinator can re-propose;
+//   * PROMISE replies carry every accepted or decided (instance, ballot,
+//     value) at or above the requested instance so a new coordinator can
+//     re-propose;
 //   * CHECKPOINTACK messages from replicas advance a truncation floor: once
 //     every expected replica has acknowledged a checkpoint covering an
 //     instance, the acceptor discards decided and accepted state below it,
@@ -21,7 +22,10 @@
 #pragma once
 
 #include <atomic>
+#include <deque>
 #include <map>
+#include <memory>
+#include <vector>
 
 #include "paxos/types.h"
 #include "transport/endpoint.h"
@@ -66,22 +70,58 @@ class Acceptor : public transport::Endpoint {
 
  private:
   void on_prepare(transport::NodeId from, util::Reader& r);
-  /// ACCEPT/DECIDE values are stored as zero-copy subviews of the arriving
-  /// frame's pool block (the coordinator's fan-out already shares it).
   void on_accept(transport::NodeId from, const util::Payload& payload);
-  void on_decide(const util::Payload& payload);
+  void on_decide(util::Reader& r);
   void on_catchup(transport::NodeId from, util::Reader& r);
   void on_checkpoint_ack(util::Reader& r);
 
-  struct AcceptedEntry {
+  // The log: one 24-byte Record per instance in [low_water_, low_water_ +
+  // log_.size()), indexed densely.  An undecided instance holds its ACCEPT
+  // value as a zero-copy Payload in a held_ slot, so the frame stays
+  // pinned only while the instance is in flight.  The first DECIDE copies
+  // the value into the arena, an append-only list of fixed-size chunks,
+  // and releases the slot: a decided instance costs its Record plus its
+  // value bytes, and holds no pooled frame.
+  enum class State : std::uint8_t { kEmpty, kAccepted, kDecided };
+  struct Record {
+    /// Highest ballot this acceptor accepted the instance at; 0 when it
+    /// only learned the value from a DECIDE.
     Ballot ballot = 0;
-    util::Payload value;
+    /// kAccepted: index into held_.  kDecided: arena chunk number.
+    std::uint32_t where = 0;
+    /// kDecided: byte offset within the chunk and value length.
+    std::uint32_t offset = 0;
+    std::uint32_t len = 0;
+    State state = State::kEmpty;
   };
+  static_assert(sizeof(Record) == 24);
+
+  struct Chunk {
+    std::unique_ptr<std::uint8_t[]> bytes;  ///< null once freed
+    std::uint32_t used = 0;
+    std::uint32_t capacity = 0;
+    Instance max_instance = 0;  ///< highest instance with bytes here
+  };
+  /// Arena chunk size.  A value larger than this gets a chunk of its own.
+  static constexpr std::uint32_t kChunkBytes = 64 * 1024;
+
+  /// The record for `inst`, growing the log as needed; nullptr below the
+  /// truncation floor or absurdly far past the log end.
+  Record* record(Instance inst);
+  /// The bytes a Record refers to (kAccepted or kDecided).
+  [[nodiscard]] std::span<const std::uint8_t> value_of(const Record& rec) const;
+  /// Copies `value` into the arena and marks `rec` decided.
+  void store_decided(Record& rec, Instance inst,
+                     std::span<const std::uint8_t> value);
+  void release_held(Record& rec);
 
   const std::size_t checkpoint_ackers_;
   Ballot promised_ = 0;
-  std::map<Instance, AcceptedEntry> accepted_;
-  std::map<Instance, util::Payload> decided_;
+  std::deque<Record> log_;  ///< log_[0] is instance low_water_
+  std::vector<util::Payload> held_;
+  std::vector<std::uint32_t> free_held_;
+  std::deque<Chunk> chunks_;
+  std::uint32_t first_chunk_ = 0;  ///< chunk number of chunks_.front()
   /// Per-replica checkpoint acknowledgment (replica id -> acked instance).
   /// Keyed by stable replica index, so a crashed replica's last ack pins the
   /// floor until it restarts and re-acks — the suffix it will replay can

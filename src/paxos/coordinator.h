@@ -71,9 +71,9 @@ struct MergePeers {
 /// Counters exported for benches and tests.
 ///
 /// The batching fields let callers assert on batcher *behavior* (fill
-/// levels, why batches sealed, where the adaptive timeout settled) instead
-/// of eyeballing throughput: mean occupancy is sealed_commands /
-/// sealed_batches, mean batch payload is sealed_bytes / sealed_batches.
+/// levels, why batches sealed) instead of eyeballing throughput: mean
+/// occupancy is sealed_commands / sealed_batches, mean batch payload is
+/// sealed_bytes / sealed_batches.
 struct CoordinatorStats {
   std::uint64_t decided_batches = 0;
   std::uint64_t decided_commands = 0;

@@ -80,7 +80,15 @@ std::optional<Decision> LearnerLog::next_for(chrono::microseconds timeout) {
 std::optional<Decision> LearnerLog::try_next() {
   if (closed_.load(std::memory_order_relaxed)) return std::nullopt;
   while (auto msg = mailbox_->try_pop()) ingest(std::move(*msg));
-  return take_ready();
+  if (auto d = take_ready()) return d;
+  // A consumer that only polls never reaches next()'s silent-mailbox
+  // branch, so apply the same paced stalled-delivery trigger here.
+  auto now = chrono::steady_clock::now();
+  if (now - last_progress_ > catchup_after_) {
+    request_catchup();
+    last_progress_ = now;  // pace the requests
+  }
+  return std::nullopt;
 }
 
 std::optional<Decision> LearnerLog::take_ready() {

@@ -146,7 +146,8 @@ struct RingConfig {
   /// instance i once a durable checkpoint makes every instance < i
   /// replayable from its snapshot, so with acks from *all* replicas the
   /// prefix below min(acked) can never be needed again.  0 (default)
-  /// disables truncation and keeps the seed behavior: logs grow forever.
+  /// disables truncation: each acceptor's log then grows by one 24-byte
+  /// index record plus the value bytes per decided instance, forever.
   std::size_t checkpoint_ackers = 0;
 };
 

@@ -309,6 +309,25 @@ TEST(Ring, LateSubscriberCatchesUp) {
       ++expect;
     }
   }
+  // A learner that only polls try_next() must recover the prefix too: it
+  // never blocks, so the stalled-delivery catch-up has to fire there.
+  auto poller = ring.subscribe();
+  expect = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (expect < 50 && std::chrono::steady_clock::now() < deadline) {
+    auto d = poller->try_next();
+    if (!d) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      continue;
+    }
+    if (d->batch.skip) continue;
+    for (const auto& c : d->batch.commands) {
+      EXPECT_EQ(cmd_id(c), expect);
+      ++expect;
+    }
+  }
+  EXPECT_EQ(expect, 50u) << "polling learner stalled";
 }
 
 TEST(Ring, CoordinatorFailover) {
@@ -387,6 +406,164 @@ TEST(Ring, CompetingCoordinatorsStaySafe) {
   s2.resize(std::min(s1.size(), s2.size()));
   s1.resize(s2.size());
   EXPECT_EQ(s1, s2);  // agreement: no divergence at any instance
+}
+
+// --- Acceptor log ----------------------------------------------------------
+
+TEST(Acceptor, DecidedFramesReturnToThePool) {
+  // Once an instance is decided and its learner is done with it, the
+  // acceptors hold neither its ACCEPT nor its DECIDE frame.
+  Network net;
+  RingConfig cfg = fast_config();
+  cfg.max_batch_commands = 1;  // one instance per command
+  Ring ring(net, 0, cfg);
+  auto learner = ring.subscribe();
+  ring.start();
+  auto [me, mybox] = net.register_node();
+  const auto outstanding = [] {
+    return util::BufferPool::global().stats().outstanding;
+  };
+  const std::int64_t before = outstanding();
+
+  constexpr std::uint64_t kN = 2000;
+  for (std::uint64_t i = 0; i < kN; ++i) ASSERT_TRUE(ring.submit(me, cmd(i)));
+  std::uint64_t got = 0;
+  Instance last = 0;
+  while (got < kN) {
+    auto d = learner->next_for(std::chrono::seconds(5));
+    ASSERT_TRUE(d.has_value()) << "stalled at " << got;
+    last = d->instance;
+    if (!d->batch.skip) got += d->batch.commands.size();
+  }
+  ASSERT_GE(last + 1, kN);
+  // The acceptors may still be handling the last DECIDEs; give them a
+  // moment to drop the in-flight frames.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (outstanding() - before >= 100 &&
+         std::chrono::steady_clock::now() < deadline) {
+    while (learner->try_next()) {
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_LT(outstanding() - before, 100)
+      << "blocks pinned after " << last + 1 << " decided instances";
+}
+
+/// One acceptor driven directly with protocol messages from a test node.
+struct DirectAcceptor {
+  Network net;
+  Acceptor acceptor{net, 0};
+  transport::NodeId me;
+  std::shared_ptr<transport::Mailbox> box;
+
+  DirectAcceptor() {
+    auto [id, mb] = net.register_node();
+    me = id;
+    box = std::move(mb);
+    acceptor.start();
+  }
+  // ~Endpoint's own stop() runs after ~Acceptor destroyed the log, while a
+  // pool thread may still be finishing the last handler turn.
+  ~DirectAcceptor() { acceptor.stop(); }
+
+  void send(std::uint16_t type, const util::Buffer& body) {
+    ASSERT_TRUE(net.send(me, acceptor.id(), type, body));
+  }
+  void accept(Ballot b, Instance i, const util::Buffer& v) {
+    util::Writer w;
+    w.u64(b);
+    w.u64(i);
+    w.bytes(v);
+    send(transport::MsgType::kPaxosAccept, w.take());
+  }
+  void decide(Instance i, const util::Buffer& v) {
+    util::Writer w;
+    w.u64(i);
+    w.bytes(v);
+    send(transport::MsgType::kPaxosDecide, w.take());
+  }
+  /// The next reply of `type`; fails the test on a timeout.
+  util::Buffer reply(std::uint16_t type) {
+    auto msg = box->pop_for(std::chrono::seconds(5));
+    EXPECT_TRUE(msg.has_value()) << "no reply of type " << type;
+    if (!msg) return {};
+    EXPECT_EQ(msg->type, type);
+    return msg->payload.to_buffer();
+  }
+
+  struct Reported {
+    Instance instance;
+    Ballot ballot;
+    util::Buffer value;
+    bool operator==(const Reported&) const = default;
+  };
+  /// Sends PREPARE(b, from) and decodes the PROMISE's reports.
+  std::vector<Reported> prepare(Ballot b, Instance from) {
+    util::Writer w;
+    w.u64(b);
+    w.u64(from);
+    send(transport::MsgType::kPaxosPrepare, w.take());
+    util::Buffer promise = reply(transport::MsgType::kPaxosPromise);
+    std::vector<Reported> out;
+    if (promise.empty()) return out;
+    util::Reader r(promise);
+    EXPECT_EQ(r.u64(), b);
+    r.u64();  // low water
+    for (std::uint32_t n = r.u32(); n > 0; --n) {
+      Reported rep;
+      rep.instance = r.u64();
+      rep.ballot = r.u64();
+      rep.value = r.bytes();
+      out.push_back(std::move(rep));
+    }
+    EXPECT_TRUE(r.done());
+    return out;
+  }
+};
+
+TEST(Acceptor, PromiseReportsDecidedInstances) {
+  const Ballot b1 = make_ballot(1, 0);
+  const Ballot b2 = make_ballot(2, 1);
+  const Instance i = 5;
+  const util::Buffer v = cmd(77);
+
+  // Accepted at b1, then decided: reported at b1 with the decided value.
+  DirectAcceptor a;
+  a.accept(b1, i, v);
+  (void)a.reply(transport::MsgType::kPaxosAccepted);
+  a.decide(i, v);
+  a.decide(i, v);  // a repeated DECIDE changes nothing
+  using Reported = DirectAcceptor::Reported;
+  EXPECT_EQ(a.prepare(b2, i), (std::vector<Reported>{{i, b1, v}}));
+  EXPECT_EQ(a.acceptor.decided_count(), 1u);
+  // An ACCEPT for a decided instance is still acknowledged, and the
+  // report keeps the decided value at the higher ballot.
+  const Ballot b3 = make_ballot(3, 0);
+  a.accept(b3, i, v);
+  (void)a.reply(transport::MsgType::kPaxosAccepted);
+  EXPECT_EQ(a.prepare(b3, 0), (std::vector<Reported>{{i, b3, v}}));
+  EXPECT_TRUE(a.prepare(b3, i + 1).empty());
+
+  // Learned only from a DECIDE: reported at ballot 0 with the value, so a
+  // new coordinator's quorum always sees it.
+  DirectAcceptor d;
+  d.decide(i, v);
+  EXPECT_EQ(d.prepare(b2, i), (std::vector<Reported>{{i, 0, v}}));
+
+  // Accepted but never decided: reported at its ballot, value unchanged.
+  DirectAcceptor u;
+  u.accept(b1, i, v);
+  (void)u.reply(transport::MsgType::kPaxosAccepted);
+  EXPECT_EQ(u.prepare(b2, 0), (std::vector<Reported>{{i, b1, v}}));
+  EXPECT_EQ(u.acceptor.decided_count(), 0u);
+
+  // An instance absurdly far past the log end (a corrupt or hostile frame)
+  // is neither stored nor acknowledged: the next reply is the PROMISE.
+  u.accept(b2, Instance{1} << 40, v);
+  u.decide(Instance{1} << 40, v);
+  EXPECT_EQ(u.prepare(b2, 0), (std::vector<Reported>{{i, b1, v}}));
+  EXPECT_EQ(u.acceptor.decided_count(), 0u);
 }
 
 }  // namespace

@@ -431,17 +431,69 @@ TEST(LogTruncation, CatchUpStillServesAboveTheFloor) {
   ring.start();
   auto [me, mybox] = net.register_node();
   for (std::uint64_t i = 0; i < 200; ++i) ASSERT_TRUE(ring.submit(me, cmd(i)));
-  paxos::Instance last = drain_commands(*learner, 200);
+  // Record every decided value's bytes (a batch re-encodes to exactly the
+  // bytes it was decided as).
+  std::vector<util::Payload> decided;
+  std::uint64_t got = 0;
+  while (got < 200) {
+    auto d = learner->next_for(5s);
+    ASSERT_TRUE(d.has_value()) << "stalled at " << got;
+    ASSERT_EQ(d->instance, decided.size());
+    decided.push_back(d->batch.encode());
+    if (!d->batch.skip) got += d->batch.commands.size();
+  }
+  const paxos::Instance last = decided.size() - 1;
 
-  // Truncate everything below the midpoint...
+  // Truncate everything below the midpoint: each acceptor drops exactly
+  // the decided instances below the floor...
   const paxos::Instance floor = last / 2;
+  const std::uint64_t acceptors = ring.acceptor_ids().size();
   send_ack(net, me, ring, 0, floor);
   auto deadline = std::chrono::steady_clock::now() + 5s;
-  while (ring.truncated_instances() == 0 &&
+  while (ring.truncated_instances() < acceptors * floor &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(2ms);
   }
-  ASSERT_GT(ring.truncated_instances(), 0u);
+  ASSERT_EQ(ring.truncated_instances(), acceptors * floor);
+
+  // ...serves nothing below it, and the exact decided bytes above it.
+  const auto catchup = [&](transport::NodeId acceptor, paxos::Instance lo,
+                           paxos::Instance hi) {
+    util::Writer w;
+    w.u64(lo);
+    w.u64(hi);
+    net.send(me, acceptor, transport::MsgType::kPaxosCatchupReq, w.take());
+    std::vector<std::pair<paxos::Instance, util::Buffer>> out;
+    while (auto msg = mybox->pop_for(5s)) {
+      if (msg->type != transport::MsgType::kPaxosCatchupRep) continue;
+      util::Reader r(msg->payload);
+      for (std::uint32_t n = r.u32(); n > 0; --n) {
+        paxos::Instance inst = r.u64();
+        out.emplace_back(inst, r.bytes());
+      }
+      return out;
+    }
+    ADD_FAILURE() << "no CATCHUPREP from node " << acceptor;
+    return out;
+  };
+  for (auto acceptor : ring.acceptor_ids()) {
+    EXPECT_TRUE(catchup(acceptor, 0, floor - 1).empty());
+    // The coordinator sends each DECIDE to the learners first, so the last
+    // one may still be on its way to this acceptor.
+    auto above = catchup(acceptor, 0, last);
+    deadline = std::chrono::steady_clock::now() + 5s;
+    while (above.size() < last - floor + 1 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(2ms);
+      above = catchup(acceptor, 0, last);
+    }
+    ASSERT_EQ(above.size(), last - floor + 1);
+    for (std::size_t k = 0; k < above.size(); ++k) {
+      ASSERT_EQ(above[k].first, floor + k);
+      EXPECT_TRUE(decided[floor + k] == above[k].second)
+          << "instance " << floor + k;
+    }
+  }
 
   // ...then a late subscriber resuming at the floor still gets a complete,
   // gap-free suffix via acceptor catch-up.
