@@ -30,7 +30,7 @@ class GroupSet {
   }
   /// The set {g_0, ..., g_{k-1}} — every worker group.
   static constexpr GroupSet all(std::size_t k) {
-    assert(k > 0 && k < 64);
+    assert(k > 0 && k <= 64);
     return GroupSet(k == 64 ? ~std::uint64_t{0}
                             : ((std::uint64_t{1} << k) - 1));
   }

@@ -1,8 +1,8 @@
 // Deterministic merge of multiple ring streams into one delivery sequence.
 //
-// A P-SMR worker thread subscribes to its own group's ring and to the
-// shared g_all ring.  Replica consistency requires that *every* replica's
-// thread t_i interleaves the streams identically; arrival timing must not
+// A P-SMR worker subscribes to its own group's ring and to the shared
+// g_all ring.  Replica consistency requires that *every* replica's worker
+// t_i interleaves the streams identically; arrival timing must not
 // matter.  The merge orders on the clock slot every decided batch carries
 // (paxos::Batch::slot), in the spirit of Clock-RSM (Du et al., DSN 2014):
 //
@@ -83,6 +83,13 @@ class MergeDeliverer {
     return closed() ? Poll::kClosed : Poll::kDry;
   }
 
+  /// Wakes `ep` on every message to any of the merged logs, which are
+  /// then read with try_next() only (paxos::LearnerLog::set_waker).  Call
+  /// before `ep` starts.
+  void set_waker(transport::Endpoint* ep) {
+    for (auto& s : streams_) s.log->set_waker(ep);
+  }
+
   /// Unblocks any pending next() and makes future calls return nullopt.
   void close() {
     for (auto& s : streams_) s.log->close();
@@ -106,7 +113,7 @@ class MergeDeliverer {
     return streams_.at(i).log->next_instance();
   }
 
-  /// Checkpoint hooks.  Safe only while the owning worker thread is parked
+  /// Checkpoint hooks.  Safe only while the owning worker is parked
   /// (the replica's checkpoint barrier): the merge state is then a pure
   /// function of the stream positions, each stream's last consumed
   /// effective slot and held head, and whatever a consumed batch left

@@ -49,6 +49,7 @@ class Acceptor : public transport::Endpoint {
            std::size_t checkpoint_ackers = 0)
       : Endpoint(net, "acceptor-ring" + std::to_string(ring)),
         checkpoint_ackers_(checkpoint_ackers) {}
+  ~Acceptor() override { stop(); }
 
   /// Test/monitoring hooks.  The atomics are safe from any thread; use them
   /// to watch log growth and truncation while the ring is live.

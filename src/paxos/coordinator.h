@@ -134,6 +134,7 @@ class Coordinator : public transport::Endpoint {
               std::shared_ptr<LearnerRegistry> learners,
               std::shared_ptr<const MergePeers> peers,
               std::uint32_t proposer_index, std::uint64_t start_round);
+  ~Coordinator() override { stop(); }
 
   [[nodiscard]] CoordinatorStats stats() const {
     std::lock_guard lock(stats_mu_);

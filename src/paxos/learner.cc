@@ -1,5 +1,7 @@
 #include "paxos/learner.h"
 
+#include <cassert>
+
 #include "util/log.h"
 
 namespace psmr::paxos {
@@ -22,10 +24,11 @@ LearnerLog::LearnerLog(transport::Network& net, RingId ring,
 }
 
 std::optional<Decision> LearnerLog::next() {
+  assert(!has_waker_ && "a log with a waker is read with try_next()");
   while (true) {
     if (closed_.load(std::memory_order_relaxed)) return std::nullopt;
     if (auto d = take_ready()) return d;
-    auto msg = mailbox_->pop_for(catchup_after_);
+    auto msg = mailbox_->pop_for(kCatchupAfter);
     if (msg) {
       ingest(std::move(*msg));
       // Traffic alone is not progress: a merged-delivery ring keeps
@@ -33,7 +36,7 @@ std::optional<Decision> LearnerLog::next() {
       // behind a gap (dropped DECIDE, or a recovery subscription below the
       // live stream) would wait on the silent-mailbox branch forever.
       // Trigger catch-up on stalled *delivery*, paced like next_for().
-      if (chrono::steady_clock::now() - last_progress_ > catchup_after_) {
+      if (chrono::steady_clock::now() - last_progress_ > kCatchupAfter) {
         request_catchup();
         last_progress_ = chrono::steady_clock::now();  // pace the requests
       }
@@ -48,6 +51,7 @@ std::optional<Decision> LearnerLog::next() {
 }
 
 std::optional<Decision> LearnerLog::next_for(chrono::microseconds timeout) {
+  assert(!has_waker_ && "a log with a waker is read with try_next()");
   auto deadline = chrono::steady_clock::now() + timeout;
   while (true) {
     if (closed_.load(std::memory_order_relaxed)) return std::nullopt;
@@ -56,21 +60,21 @@ std::optional<Decision> LearnerLog::next_for(chrono::microseconds timeout) {
     if (now >= deadline) return std::nullopt;
     auto wait = std::min(chrono::duration_cast<chrono::microseconds>(
                              deadline - now),
-                         catchup_after_);
+                         kCatchupAfter);
     auto msg = mailbox_->pop_for(wait);
     if (msg) {
       ingest(std::move(*msg));
       // Same stalled-delivery trigger as next(): live skip traffic keeps
       // the mailbox busy, so a learner stuck behind a gap would otherwise
       // never reach the silent-mailbox catch-up branch below.
-      if (chrono::steady_clock::now() - last_progress_ > catchup_after_) {
+      if (chrono::steady_clock::now() - last_progress_ > kCatchupAfter) {
         request_catchup();
         last_progress_ = chrono::steady_clock::now();  // pace the requests
       }
     } else if (mailbox_->closed() && mailbox_->empty()) {
       return std::nullopt;
     } else if (chrono::steady_clock::now() - last_progress_ >
-               catchup_after_) {
+               kCatchupAfter) {
       request_catchup();
       last_progress_ = chrono::steady_clock::now();  // pace the requests
     }
@@ -84,7 +88,7 @@ std::optional<Decision> LearnerLog::try_next() {
   // A consumer that only polls never reaches next()'s silent-mailbox
   // branch, so apply the same paced stalled-delivery trigger here.
   auto now = chrono::steady_clock::now();
-  if (now - last_progress_ > catchup_after_) {
+  if (now - last_progress_ > kCatchupAfter) {
     request_catchup();
     last_progress_ = now;  // pace the requests
   }

@@ -7,9 +7,13 @@
 // this learner subscribed late — it fetches the missing instances from an
 // acceptor (catch-up protocol).
 //
-// Worker threads in P-SMR call next() directly: delivery happens *inside*
-// the worker with no central dispatcher, which is the core architectural
-// claim of the paper (parallel delivery, Table I).
+// A P-SMR replica worker reads its learners itself: delivery happens
+// *inside* the worker with no central dispatcher, which is the core
+// architectural claim of the paper (parallel delivery, Table I).  The
+// worker is an executor endpoint, so it does not block in next(): it sets
+// itself as the log's waker (set_waker) and polls try_next() from its
+// turns, and each DECIDE wakes it.  Blocking consumers (the sP-SMR delivery
+// thread, tests, perfbench's tracer) use next()/next_for() as before.
 #pragma once
 
 #include <atomic>
@@ -41,11 +45,26 @@ class LearnerLog {
   [[nodiscard]] RingId ring() const { return ring_; }
 
   /// Blocks until the next in-order decision is available.  Returns
-  /// std::nullopt only when the network shuts down.
+  /// std::nullopt only when the network shuts down.  Not on a log with a
+  /// waker.
   std::optional<Decision> next();
 
-  /// Bounded wait; std::nullopt on timeout or shutdown.
+  /// Bounded wait; std::nullopt on timeout or shutdown.  Not on a log with
+  /// a waker.
   std::optional<Decision> next_for(std::chrono::microseconds timeout);
+
+  /// Makes every arriving message wake `ep` instead of a blocked reader;
+  /// the log is then read with try_next() only, from `ep`'s turns, and its
+  /// catch-up needs a try_next() at least every kCatchupAfter while
+  /// delivery stalls.  Call before `ep` starts.
+  void set_waker(transport::Endpoint* ep) {
+    has_waker_ = true;
+    mailbox_->set_waker(ep);
+  }
+
+  /// How long delivery may stall before a read asks an acceptor for the
+  /// missing instances.
+  static constexpr std::chrono::microseconds kCatchupAfter{20000};
 
   /// Non-blocking variant.  std::nullopt means "no in-order decision ready
   /// yet" *or* "closed" — poll closed() to tell the two apart.
@@ -65,7 +84,7 @@ class LearnerLog {
 
   /// Stops delivery immediately: pending and future next() calls return
   /// std::nullopt even if decided batches are still buffered.  Used at
-  /// replica shutdown so worker threads quiesce at a well-defined point.
+  /// replica shutdown so workers quiesce at a well-defined point.
   void close() {
     closed_.store(true, std::memory_order_release);
     mailbox_->close();
@@ -84,12 +103,12 @@ class LearnerLog {
 
   std::map<Instance, Batch> buffer_;
   std::atomic<bool> closed_{false};
+  bool has_waker_ = false;  // read with try_next() only
   /// Written only by the consuming thread; atomic so next_instance() can be
   /// sampled from monitoring threads without a data race.
   std::atomic<Instance> next_{0};
   util::SplitMix64 rng_;
   std::chrono::steady_clock::time_point last_progress_;
-  std::chrono::microseconds catchup_after_{20000};  // 20 ms of no progress
 };
 
 }  // namespace psmr::paxos

@@ -52,6 +52,7 @@ class LockServer {
         : Endpoint(net, "lockserver-handler"),
           service_(service),
           executed_(executed) {}
+    ~Handler() override { stop(); }
 
    protected:
     void handle(transport::Message msg) override {

@@ -13,6 +13,7 @@ class PsmrReplica::SnapshotServer final : public transport::Endpoint {
  public:
   SnapshotServer(transport::Network& net, PsmrReplica& replica)
       : Endpoint(net, replica.name_ + "-snapshots"), replica_(replica) {}
+  ~SnapshotServer() override { stop(); }
 
  protected:
   void handle(transport::Message msg) override {
@@ -29,6 +30,55 @@ class PsmrReplica::SnapshotServer final : public transport::Endpoint {
 
  private:
   PsmrReplica& replica_;
+};
+
+/// One P-SMR worker: an endpoint woken by its learners and by its peers'
+/// barrier signals.  Receives no messages; its turn is PsmrReplica::turn.
+class PsmrReplica::Worker final : public transport::Endpoint {
+ public:
+  Worker(PsmrReplica& replica, std::size_t index)
+      : Endpoint(replica.net_, replica.name_ + "-worker-" +
+                                   std::to_string(index)),
+        replica_(replica),
+        index_(index),
+        sub_(*replica.subs_[index]) {
+    run_.reserve(replica.run_length_);
+    sub_.set_waker(this);
+  }
+  ~Worker() override { stop(); }
+
+  [[nodiscard]] std::size_t index() const { return index_; }
+
+ protected:
+  void handle(transport::Message msg) override {
+    PSMR_WARN(name() << ": unexpected msg type " << msg.type);
+  }
+  void on_run() override {
+    replica_.turn(*this);
+    last_turn_ = Clock::now();
+  }
+  /// A turn at least every kCatchupAfter, so a silent stream still reaches
+  /// the learners' catch-up in try_next().
+  std::optional<Clock::time_point> next_deadline() override {
+    return last_turn_ + paxos::LearnerLog::kCatchupAfter;
+  }
+
+ private:
+  friend class PsmrReplica;
+
+  PsmrReplica& replica_;
+  const std::size_t index_;
+  multicast::MergeDeliverer& sub_;
+  Clock::time_point last_turn_ = Clock::now();
+  /// The open execution run (reused across turns).
+  std::vector<Command> run_;
+  /// A decoded delivery that must not join the current run (a barrier,
+  /// dependency, or same-client ordering) seeds the next step, preserving
+  /// stream order across the flush.  A parked worker keeps its barrier
+  /// command here.
+  std::optional<Command> held_;
+  /// Parked as a non-executor: its arrival signal is already sent.
+  bool arrived_ = false;
 };
 
 PsmrReplica::PsmrReplica(transport::Network& net, multicast::Bus& bus,
@@ -73,6 +123,9 @@ PsmrReplica::PsmrReplica(transport::Network& net, multicast::Bus& bus,
     snapshot_server_ = std::make_unique<SnapshotServer>(net_, *this);
   }
   if (restore) install_frame(*restore);
+  for (std::size_t i = 0; i < mpl_; ++i) {
+    workers_.push_back(std::make_unique<Worker>(*this, i));
+  }
 }
 
 PsmrReplica::~PsmrReplica() { stop(); }
@@ -121,24 +174,15 @@ void PsmrReplica::start() {
   if (started_) return;
   started_ = true;
   if (snapshot_server_) snapshot_server_->start();
-  for (std::size_t i = 0; i < mpl_; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
-  }
+  for (auto& w : workers_) w->start();
 }
 
 void PsmrReplica::stop() {
+  // Closed logs wake nobody, and a stopped worker ignores its peers'
+  // signals, so workers parked at different stream positions just stay
+  // parked until they are retired.
   for (auto& sub : subs_) sub->close();
-  // Shutdown can catch workers at different stream positions: one may be
-  // blocked in a synchronous-mode signal wait for a peer whose stream was
-  // closed before delivering the same command.  Flush every signal cell so
-  // blocked workers wake, observe their closed stream, and exit.
-  for (std::size_t round = 0; round < mpl_ + 1; ++round) {
-    for (auto& s : signals_) s.notify();
-  }
-  for (auto& w : workers_) {
-    if (w.joinable()) w.join();
-  }
-  workers_.clear();
+  for (auto& w : workers_) w->stop();
   if (snapshot_server_) snapshot_server_->stop();
 }
 
@@ -212,7 +256,7 @@ void PsmrReplica::execute_run(std::vector<Command>& run, std::size_t worker) {
   CommandBatch batch{std::span<const Command>(run), &sink};
   service_->execute_batch(batch);
   // The executed run is the natural flush unit: its replies leave as one
-  // frame per destination proxy before the worker blocks on its stream.
+  // frame per destination proxy before the worker reads on.
   replies_->flush_all(reply_node_);
   executed_.fetch_add(run.size(), std::memory_order_release);
   // Periodic checkpoint trigger, counted on worker 0 only (one counter per
@@ -229,32 +273,7 @@ void PsmrReplica::execute_run(std::vector<Command>& run, std::size_t worker) {
   }
 }
 
-void PsmrReplica::checkpoint_execute(std::size_t worker) {
-  ckpt_pending_.store(false, std::memory_order_relaxed);
-  if (mpl_ == 1) {
-    take_checkpoint();
-    return;
-  }
-  // Full-replica barrier on the signal matrix, executor fixed at worker 0.
-  // Every worker parks exactly after consuming the marker from its own
-  // stream, so the resume state worker 0 records is the deterministic cut.
-  // The counting semantics keep this safe against the synchronous-mode
-  // barriers sharing cells: all workers process their (identical) stream's
-  // barrier events in order, so the n-th wait pairs with the n-th notify.
-  if (worker == 0) {
-    for (std::size_t j = 1; j < mpl_; ++j) signal(j, 0).wait();
-    take_checkpoint();
-    for (std::size_t j = 1; j < mpl_; ++j) signal(0, j).notify();
-  } else {
-    signal(worker, 0).notify();
-    signal(0, worker).wait();
-  }
-}
-
 void PsmrReplica::take_checkpoint() {
-  // A shutdown flushes the signal cells to wake parked workers; the streams
-  // are closed then and the "barrier" is not a consistent cut — skip.
-  if (subs_[0]->closed()) return;
   const std::uint64_t executed = executed_.load(std::memory_order_relaxed);
   {
     std::lock_guard lock(ckpt_mu_);
@@ -262,6 +281,9 @@ void PsmrReplica::take_checkpoint() {
     // nothing executed since the last cut means an identical frame.
     if (have_ckpt_ && executed == last_ckpt_executed_) return;
   }
+  // The snapshot is the one long step a worker takes: let the endpoints
+  // its sends queued on this pool thread run elsewhere meanwhile.
+  net_.executor().spill();
   SnapshotFrame frame = build_frame(executed);
   util::Writer sw;
   if (!service_->snapshot_to(sw)) {
@@ -351,110 +373,157 @@ void PsmrReplica::send_checkpoint_acks(const SnapshotFrame& frame) {
   }
 }
 
-void PsmrReplica::sync_execute(Command cmd, std::size_t worker) {
-  // Synchronous mode (Algorithm 1, lines 14-26).
-  const multicast::GroupSet groups = cmd.groups;
-  const std::size_t executor = groups.min();
-  if (worker == executor) {
-    groups.for_each([&](multicast::GroupId j) {
-      if (j != executor && j < mpl_) signal(j, executor).wait();
-    });
-    // Dedup/replay and execute exactly like a parallel-mode run of one.
-    if (admit(cmd, worker)) {
-      std::vector<Command> one;
-      one.push_back(std::move(cmd));
-      execute_run(one, worker);
-    }
-    groups.for_each([&](multicast::GroupId j) {
-      if (j != executor && j < mpl_) signal(executor, j).notify();
-    });
-  } else {
-    signal(worker, executor).notify();
-    signal(executor, worker).wait();
-  }
+void PsmrReplica::notify(std::size_t from, std::size_t to) {
+  signal(from, to).fetch_add(1, std::memory_order_release);
+  workers_[to]->wake();
 }
 
-void PsmrReplica::worker_loop(std::size_t worker) {
-  auto& sub = *subs_[worker];
-  std::vector<Command> run;
-  run.reserve(run_length_);
-  // A decoded delivery that must not join the current run (synchronous
-  // mode, dependency, or same-client ordering) is parked here and seeds the
-  // next iteration, preserving stream order across the flush.
-  std::optional<Command> held;
-  for (;;) {
-    Command first;
-    if (held) {
-      first = std::move(*held);
-      held.reset();
-    } else {
-      auto delivery = sub.next();
-      if (!delivery) break;
-      auto cmd = Command::decode(delivery->message);
-      if (!cmd) {
-        PSMR_ERROR(name_ << " worker " << worker << ": malformed command");
-        continue;
-      }
-      first = std::move(*cmd);
+bool PsmrReplica::pass_barrier(Worker& w, multicast::GroupSet groups) {
+  const std::size_t executor = groups.min();
+  if (w.index() != executor) {
+    if (!w.arrived_) {
+      w.arrived_ = true;
+      notify(w.index(), executor);
     }
-    if (first.cmd == kCheckpointMarker) {
-      // Before the singleton test: with mpl 1 the marker travels group 0's
-      // ring as a singleton command but still cuts a checkpoint.
-      checkpoint_execute(worker);
-      continue;
-    }
-    if (!first.groups.singleton()) {
-      if (!first.groups.contains(static_cast<multicast::GroupId>(worker))) {
-        continue;  // delivered via g_all but not a destination
-      }
-      sync_execute(std::move(first), worker);
-      continue;
-    }
-    // Parallel mode (Algorithm 1, lines 10-13), batched: accumulate
-    // consecutive independent parallel-mode deliveries until the stream
-    // runs dry, a barrier command arrives, or the run is full.
-    if (!admit(first, worker)) continue;
-    run.clear();
-    run.push_back(std::move(first));
-    while (run.size() < run_length_) {
-      multicast::Delivery delivery;
-      // kDry and kClosed both end the accumulation — flush what we have.  A
-      // closed stream additionally means the outer blocking next() would
-      // never deliver again; the loop exits there on its nullopt.
-      if (sub.try_next(delivery) != multicast::MergeDeliverer::Poll::kDelivered) {
-        break;
-      }
-      auto cmd = Command::decode(delivery.message);
-      if (!cmd) {
-        PSMR_ERROR(name_ << " worker " << worker << ": malformed command");
-        continue;
-      }
-      if (cmd->cmd == kCheckpointMarker || !cmd->groups.singleton()) {
-        held = std::move(*cmd);
-        break;  // barrier (synchronous mode or checkpoint) ends the run
-      }
-      // Same-client ordering: a seq at or below one already in the
-      // (unexecuted) run is either a retransmission or out of order; flush
-      // so the dedup cache — updated only at execution — can classify it
-      // exactly as the sequential path would have.
-      bool ordered = true;
-      bool joins = true;
-      for (const Command& member : run) {
-        if (cmd->client == member.client && cmd->seq <= member.seq) {
-          ordered = false;
-          break;
-        }
-        if (!service_->may_share_batch(member, *cmd)) joins = false;
-      }
-      if (!ordered || !joins) {
-        held = std::move(*cmd);
-        break;
-      }
-      if (!admit(*cmd, worker)) continue;
-      run.push_back(std::move(*cmd));
-    }
-    execute_run(run, worker);
+    auto& resume = signal(executor, w.index());
+    if (resume.load(std::memory_order_acquire) == 0) return false;
+    resume.fetch_sub(1, std::memory_order_acq_rel);
+    w.arrived_ = false;
+    return true;
   }
+  bool all = true;
+  groups.for_each([&](multicast::GroupId j) {
+    if (j != executor && j < mpl_ &&
+        signal(j, executor).load(std::memory_order_acquire) == 0) {
+      all = false;
+    }
+  });
+  if (!all) return false;
+  // Only this worker decrements these cells, so the counts just seen are
+  // still there.
+  groups.for_each([&](multicast::GroupId j) {
+    if (j != executor && j < mpl_) {
+      signal(j, executor).fetch_sub(1, std::memory_order_acq_rel);
+    }
+  });
+  return true;
+}
+
+void PsmrReplica::release(std::size_t executor, multicast::GroupSet groups) {
+  groups.for_each([&](multicast::GroupId j) {
+    if (j != executor && j < mpl_) notify(executor, j);
+  });
+}
+
+void PsmrReplica::turn(Worker& w) {
+  for (std::size_t n = 0; n < kTurnRuns; ++n) {
+    if (!step(w)) return;
+  }
+  w.wake();  // budget spent: go round again after the thread's other work
+}
+
+bool PsmrReplica::step(Worker& w) {
+  const std::size_t worker = w.index();
+  auto& sub = w.sub_;
+  if (!w.held_) {
+    multicast::Delivery delivery;
+    if (sub.try_next(delivery) != multicast::MergeDeliverer::Poll::kDelivered) {
+      return false;  // dry, or closed for good
+    }
+    auto cmd = Command::decode(delivery.message);
+    if (!cmd) {
+      PSMR_ERROR(name_ << " worker " << worker << ": malformed command");
+      return true;
+    }
+    w.held_ = std::move(*cmd);
+  }
+  if (w.held_->cmd == kCheckpointMarker) {
+    // Before the singleton test: with mpl 1 the marker travels group 0's
+    // ring as a singleton command but still cuts a checkpoint.  The
+    // full-replica barrier fixes the executor at worker 0.  Every worker
+    // parks exactly after consuming the marker from its own stream, so the
+    // resume state worker 0 records is the deterministic cut.  The counting
+    // semantics keep this safe against the synchronous-mode barriers
+    // sharing cells: all workers process their (identical) stream's
+    // barrier events in order, so the n-th consumption pairs with the n-th
+    // signal.
+    const auto all = multicast::GroupSet::all(mpl_);
+    if (!pass_barrier(w, all)) return false;
+    w.held_.reset();
+    if (worker == 0) {
+      ckpt_pending_.store(false, std::memory_order_relaxed);
+      take_checkpoint();
+      release(0, all);
+    }
+    return true;
+  }
+  if (!w.held_->groups.singleton()) {
+    // Synchronous mode (Algorithm 1, lines 14-26).
+    const multicast::GroupSet groups = w.held_->groups;
+    if (!groups.contains(static_cast<multicast::GroupId>(worker))) {
+      w.held_.reset();  // delivered via g_all but not a destination
+      return true;
+    }
+    if (!pass_barrier(w, groups)) return false;
+    Command cmd = std::move(*w.held_);
+    w.held_.reset();
+    if (worker == groups.min()) {
+      // Dedup/replay and execute exactly like a parallel-mode run of one.
+      if (admit(cmd, worker)) {
+        w.run_.clear();
+        w.run_.push_back(std::move(cmd));
+        execute_run(w.run_, worker);
+      }
+      release(worker, groups);
+    }
+    return true;
+  }
+  // Parallel mode (Algorithm 1, lines 10-13), batched: accumulate
+  // consecutive independent parallel-mode deliveries until the stream runs
+  // dry, a barrier command arrives, or the run is full.
+  Command first = std::move(*w.held_);
+  w.held_.reset();
+  if (!admit(first, worker)) return true;
+  auto& run = w.run_;
+  run.clear();
+  run.push_back(std::move(first));
+  while (run.size() < run_length_) {
+    multicast::Delivery delivery;
+    // kDry and kClosed both end the accumulation — flush what we have.
+    if (sub.try_next(delivery) != multicast::MergeDeliverer::Poll::kDelivered) {
+      break;
+    }
+    auto cmd = Command::decode(delivery.message);
+    if (!cmd) {
+      PSMR_ERROR(name_ << " worker " << worker << ": malformed command");
+      continue;
+    }
+    if (cmd->cmd == kCheckpointMarker || !cmd->groups.singleton()) {
+      w.held_ = std::move(*cmd);
+      break;  // barrier (synchronous mode or checkpoint) ends the run
+    }
+    // Same-client ordering: a seq at or below one already in the
+    // (unexecuted) run is either a retransmission or out of order; flush
+    // so the dedup cache — updated only at execution — can classify it
+    // exactly as the sequential path would have.
+    bool ordered = true;
+    bool joins = true;
+    for (const Command& member : run) {
+      if (cmd->client == member.client && cmd->seq <= member.seq) {
+        ordered = false;
+        break;
+      }
+      if (!service_->may_share_batch(member, *cmd)) joins = false;
+    }
+    if (!ordered || !joins) {
+      w.held_ = std::move(*cmd);
+      break;
+    }
+    if (!admit(*cmd, worker)) continue;
+    run.push_back(std::move(*cmd));
+  }
+  execute_run(run, worker);
+  return true;
 }
 
 }  // namespace psmr::smr

@@ -1,42 +1,53 @@
 // P-SMR replica — the paper's Algorithm 1, server side (lines 7–26).
 //
-// k worker threads; thread t_i subscribes to groups {g_i, g_all} through a
+// k workers; worker t_i subscribes to groups {g_i, g_all} through a
 // deterministic MergeDeliverer, so delivery itself is parallel (one stream
-// per thread, no central dispatcher — the defining property of P-SMR,
-// Table I).
+// per worker, no central dispatcher — the defining property of P-SMR,
+// Table I).  A worker is an Endpoint on the network's executor, not a
+// thread: its learners wake it on every DECIDE (Mailbox::set_waker), and
+// its turn pumps its own merge with try_next() until the stream is dry, it
+// parks at a barrier, or kTurnRuns steps are spent (then it wakes itself
+// and yields).  A silent stream still gets a turn every
+// LearnerLog::kCatchupAfter, so the learners' catch-up runs.
 //
 // Execution modes per delivered command C with destination set γ:
 //   * parallel mode (γ singleton): t_i executes C and replies immediately;
-//   * synchronous mode (|γ| > 1): the destination threads synchronize with
+//   * synchronous mode (|γ| > 1): the destination workers synchronize with
 //     signals; t_e with e = min(γ) waits for a signal from every other
-//     destination thread, executes C, replies, then signals them to resume.
-// Threads that deliver C via g_all but are not in γ ignore it (the general
+//     destination worker, executes C, replies, then signals them to resume.
+// Workers that deliver C via g_all but are not in γ ignore it (the general
 // form of the algorithm allows γ to be any subset; our transport routes all
 // multi-group messages through g_all).
 //
-// Signals are per-(sender, receiver) counting semaphores, exactly the
-// "signal from t_j" of the paper, so a fast thread's signal for the *next*
-// synchronous command cannot be miscounted for the current one.
+// Signals are per-(sender, receiver) atomic counters, exactly the "signal
+// from t_j" of the paper, so a fast worker's signal for the *next*
+// synchronous command cannot be miscounted for the current one.  No worker
+// blocks on one — a pool thread must never wait for another worker.  A
+// worker that would wait parks instead: it keeps the command and ends its
+// turn.  notify(from, to) increments a counter and wakes `to`, whose next
+// turn finds its counts present, consumes them, and goes on.
 //
 // Batched execution: between synchronous-mode barriers, a worker
 // accumulates consecutive parallel-mode deliveries into a run of mutually
 // independent commands (bounded by run_length; a dry or closed stream
 // flushes immediately via MergeDeliverer::try_next, so batching never
-// waits) and
-// executes it as one Service::execute_batch call.  Run boundaries are
-// timing-dependent but, per the batch contract in service.h, replicas that
-// slice the same deterministic stream differently still converge.
+// waits) and executes it as one Service::execute_batch call.  Run
+// boundaries are timing-dependent but, per the batch contract in
+// service.h, replicas that slice the same deterministic stream differently
+// still converge.
 //
 // Checkpointing (when CheckpointOptions::enabled): a reserved marker
 // command (kCheckpointMarker), multicast to every group, lands at one
 // well-defined position of every worker's merged stream.  On delivering it
-// each worker parks at a full-replica barrier (the same signal matrix the
+// each worker parks at a full-replica barrier (the same signal counters the
 // synchronous mode uses); worker 0 then snapshots the quiesced service plus
 // every worker's resume state into a digest-stamped SnapshotFrame
 // (smr/snapshot.h), stores the encoded frame for peers to fetch
 // (kSmrSnapshotReq/Rep), and acks the covered prefix to every ring's
-// acceptors so they can truncate (kPaxosCheckpointAck).  Because the frame
-// is a deterministic function of the streams, replicas cutting the same
+// acceptors so they can truncate (kPaxosCheckpointAck).  Before the
+// snapshot it spills its pool thread's local work (Executor::spill), so
+// nothing queued behind the long step waits for it.  Because the frame is
+// a deterministic function of the streams, replicas cutting the same
 // marker produce byte-identical frames.  A restarted replica is constructed
 // from a peer's frame: the service state installs, each worker resubscribes
 // at its recorded stream positions, and the acceptor catch-up protocol
@@ -47,7 +58,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -55,13 +65,12 @@
 #include "smr/response_batch.h"
 #include "smr/service.h"
 #include "smr/snapshot.h"
-#include "util/sync.h"
 
 namespace psmr::smr {
 
 class PsmrReplica {
  public:
-  /// `mpl` worker threads; must equal the C-G function's mpl().
+  /// `mpl` workers; must equal the C-G function's mpl().
   /// `run_length` bounds the execution batches accumulated per worker
   /// (1 restores one-command-at-a-time execution).  `reply_caps` sets the
   /// reply spool's caps (see response_batch.h); the workers share one
@@ -99,8 +108,7 @@ class PsmrReplica {
   /// number of ring decisions fetched so far from stream s (the shared
   /// g_all ring is the last stream).  Progress assertions on these verify
   /// that every worker's merge keeps advancing — i.e. that idle rings'
-  /// lease skips actually reach the merge — without racing the worker
-  /// thread.
+  /// lease skips actually reach the merge — without racing the worker.
   [[nodiscard]] std::size_t num_streams(std::size_t w) const {
     return subs_.at(w)->num_streams();
   }
@@ -131,14 +139,32 @@ class PsmrReplica {
  private:
   class WorkerSink;
   class SnapshotServer;
+  class Worker;
 
-  void worker_loop(std::size_t worker);
-  void sync_execute(Command cmd, std::size_t worker);
+  /// Steps a worker may take in one turn before it yields its pool thread.
+  static constexpr std::size_t kTurnRuns = 64;
+
+  /// One turn of worker `w`: steps until its stream is dry, it parks at a
+  /// barrier, or kTurnRuns steps are spent.
+  void turn(Worker& w);
+  /// Handles the held command or the next delivery: one parallel-mode run,
+  /// one barrier command, or one ignored delivery.  False when the stream
+  /// is dry or closed, or the worker parks at a barrier.
+  bool step(Worker& w);
+  /// The barrier of a command held by `w` with destinations `groups`
+  /// (workers; the executor is groups.min()).  A non-executor signals its
+  /// arrival once, then passes when the executor signals back.  The
+  /// executor passes once every other destination has arrived, consuming
+  /// their signals; it must then execute and call release().  False while
+  /// `w` is parked.
+  bool pass_barrier(Worker& w, multicast::GroupSet groups);
+  /// The executor's signal to every other destination: resume.
+  void release(std::size_t executor, multicast::GroupSet groups);
+  /// Signals `to` from `from` and wakes `to`.
+  void notify(std::size_t from, std::size_t to);
   void execute_run(std::vector<Command>& run, std::size_t worker);
-  /// Full-replica barrier at a delivered checkpoint marker; worker 0 cuts
-  /// the snapshot while every other worker is parked.
-  void checkpoint_execute(std::size_t worker);
-  /// Runs on worker 0 (or the sole worker) with the service quiesced.
+  /// Runs on worker 0 (or the sole worker) with every worker parked at a
+  /// checkpoint marker.
   void take_checkpoint();
   /// Builds the resume-state frame from the parked workers' streams.
   [[nodiscard]] SnapshotFrame build_frame(std::uint64_t executed) const;
@@ -150,7 +176,7 @@ class PsmrReplica {
   /// is fresh and should execute; replays the cached response (or drops a
   /// stale duplicate) otherwise.
   bool admit(const Command& cmd, std::size_t worker);
-  util::Signal& signal(std::size_t from, std::size_t to) {
+  std::atomic<std::uint32_t>& signal(std::size_t from, std::size_t to) {
     return signals_[from * mpl_ + to];
   }
 
@@ -162,8 +188,11 @@ class PsmrReplica {
   const CheckpointOptions ckpt_opts_;
   std::unique_ptr<Service> service_;
   std::vector<std::unique_ptr<multicast::MergeDeliverer>> subs_;
-  std::vector<util::Signal> signals_;  // mpl x mpl matrix
-  std::vector<std::thread> workers_;
+  /// Signals sent from worker `from` to `to` and not yet consumed by `to`:
+  /// an mpl x mpl matrix.  Only `from` increments a cell, only `to`
+  /// decrements it.
+  std::vector<std::atomic<std::uint32_t>> signals_;
+  std::vector<std::unique_ptr<Worker>> workers_;
   transport::NodeId reply_node_ = transport::kNoNode;
   std::unique_ptr<ReplySpool> replies_;
 

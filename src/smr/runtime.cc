@@ -138,8 +138,9 @@ void Deployment::crash_replica(std::size_t i) {
     if (i >= psmr_.size() || !psmr_[i]) return;
     victim = std::move(psmr_[i]);  // slot reads as crashed from here on
   }
-  // Stop (joins the worker threads) outside the lock so monitors keep
-  // reading the surviving replicas while the victim winds down.
+  // Stop (waits out the workers' last turns) outside the lock so
+  // monitors keep reading the surviving replicas while the victim winds
+  // down.
   victim->stop();
   victim.reset();
 }

@@ -47,7 +47,7 @@ using SpoolStats = transport::SpoolStats;
 
 struct DeploymentConfig {
   Mode mode = Mode::kPsmr;
-  /// Worker threads per replica (the multiprogramming level).  For SMR this
+  /// Workers per replica (the multiprogramming level).  For SMR this
   /// is forced to 1.
   std::size_t mpl = 8;
   /// Replica count for the replicated modes (paper: 2, i.e. f = 1).

@@ -68,8 +68,8 @@ struct SnapshotHead {
   std::vector<util::Buffer> commands;
 };
 
-/// Everything one worker thread needs to resume its merged stream exactly
-/// at the cut.
+/// Everything one worker needs to resume its merged stream exactly at the
+/// cut.
 struct WorkerSnapshot {
   /// Next unfetched instance per stream (group ring first, then the shared
   /// ring when one exists) — the subscribe_at() resume points.

@@ -8,7 +8,9 @@ bool Mailbox::push(Message msg) {
     std::lock_guard lock(mu_);
     if (closed_) return false;
     items_.push_back(std::move(msg));
-    if (owner_ == nullptr) {
+    if (waker_ != nullptr) {
+      waker_->wake();  // under the lock: close() fences it off
+    } else if (owner_ == nullptr) {
       cv_.notify_one();
     } else if (started_ && !scheduled_) {
       scheduled_ = schedule = true;
@@ -49,7 +51,11 @@ void Endpoint::stop() {
   net_.executor().forget(this);
 }
 
-bool Endpoint::wake_for_timer() {
+void Endpoint::wake() {
+  if (mark_runnable()) net_.executor().schedule(this);
+}
+
+bool Endpoint::mark_runnable() {
   std::lock_guard lock(mailbox_->mu_);
   if (mailbox_->closed_ || !mailbox_->started_) return false;
   if (mailbox_->scheduled_) {
@@ -75,6 +81,7 @@ void Endpoint::run() {
     handle(std::move(*msg));
   }
   if (!closed) {
+    on_run();
     auto due = next_deadline();
     if (due && Clock::now() >= *due) {
       on_deadline();

@@ -1,16 +1,23 @@
 // Message-driven actor base: handlers run on the Network's executor pool.
 //
-// Paxos coordinators and acceptors, the replicas' snapshot servers and the
-// lock-server and no-rep handlers are Endpoints.  None owns a thread: a
-// push to an endpoint's mailbox or an expired deadline makes it runnable,
-// and one of the Network's pool threads (transport/executor.h) drains its
-// mailbox.  Handlers of one endpoint never run on two threads at once and
-// see its messages in FIFO order.
+// Paxos coordinators and acceptors, the replicas' snapshot servers, the
+// lock-server and no-rep handlers, and the P-SMR replica workers are
+// Endpoints.  None owns a thread: a push to an endpoint's mailbox, a wake()
+// or an expired deadline makes it runnable, and one of the Network's pool
+// threads (transport/executor.h) runs its turn.  Handlers of one endpoint
+// never run on two threads at once and see its messages in FIFO order.
 //
-// Replica worker threads are NOT Endpoints — they consume ordered command
-// streams through the multicast merge deliverer instead (see
-// multicast/merge.h), which is exactly the architectural point of P-SMR:
-// delivery happens inside the worker, not in a central dispatcher.
+// A replica worker receives no messages: its learners' mailboxes name it as
+// their waker (Mailbox::set_waker), so a DECIDE wakes it and its on_run()
+// pumps its own merge (multicast/merge.h).  Delivery still happens inside
+// the worker, with no central dispatcher in between — the architectural
+// point of P-SMR — and a DECIDE sent from a pool thread runs the worker
+// right after the sender's handler, without waking a sleeping thread.
+//
+// Destruction: every concrete subclass must call stop() first in its own
+// destructor.  ~Endpoint() runs after the subclass's members are gone, so
+// its stop() would come too late for a handler turn still running on a
+// pool thread; it stays only as a backstop for the mailbox and timer.
 #pragma once
 
 #include <atomic>
@@ -27,7 +34,8 @@ namespace psmr::transport {
 
 /// Base class for message-driven processes.  Subclasses implement
 /// handle(msg); start() lets the executor run the endpoint; stop() retires
-/// it.  Destruction stops the actor (RAII).
+/// it.  A concrete subclass's destructor must call stop() before anything
+/// else (see the file comment).
 class Endpoint {
  public:
   Endpoint(Network& net, std::string name);
@@ -45,6 +53,13 @@ class Endpoint {
   /// called from one of this Network's handlers.
   void stop();
 
+  /// Asks for a turn: schedules the endpoint if it is idle — on this pool
+  /// thread's local list when called from a handler, otherwise on the
+  /// shared queue — or, if a turn is already scheduled or running, makes
+  /// it go round once more.  A no-op before start() and after stop().
+  /// Safe from any thread.
+  void wake();
+
   [[nodiscard]] NodeId id() const { return id_; }
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] Network& network() const { return net_; }
@@ -53,6 +68,11 @@ class Endpoint {
   /// Processes one message.  Never runs concurrently with this endpoint's
   /// other handlers.
   virtual void handle(Message msg) = 0;
+
+  /// Called once per turn after the queued messages, on the same thread
+  /// and under the same exclusion as handle().  Endpoints driven by wake()
+  /// do their work here.
+  virtual void on_run() {}
 
   using Clock = std::chrono::steady_clock;
 
@@ -76,12 +96,13 @@ class Endpoint {
   friend class Executor;
 
   /// One scheduled turn on a pool thread: handles up to kRunBudget queued
-  /// messages, runs an expired deadline, re-arms the timer, and yields if
-  /// work remains.
+  /// messages, calls on_run(), runs an expired deadline, re-arms the timer,
+  /// and yields if work remains.
   void run();
-  /// A timer expiry: true if the caller must queue this endpoint (it was
-  /// idle); false if it is closed, not started, or already scheduled.
-  bool wake_for_timer();
+  /// A wake or timer expiry: true if the caller must queue this endpoint
+  /// (it was idle); false if it is closed, not started, or already
+  /// scheduled (the current turn then goes round again).
+  bool mark_runnable();
 
   static constexpr std::size_t kRunBudget = 64;
 

@@ -63,6 +63,23 @@ void Executor::schedule(Endpoint* ep) {
 
 void Executor::yield(Endpoint* ep) { tl_pool->local.push_front(ep); }
 
+void Executor::spill() {
+  if (tl_pool == nullptr || tl_pool->executor != this) return;
+  auto& local = tl_pool->local;
+  if (local.empty()) return;
+  std::lock_guard lock(mu_);
+  // The local list runs from its back; keep that order on the FIFO queue.
+  ready_.insert(ready_.end(), local.rbegin(), local.rend());
+  local.clear();
+  // One wake is enough: a thread that takes shared work while more is
+  // queued wakes the next idle one (worker_loop).
+  if (idle_ > 0) {
+    idle_cv_.notify_one();
+  } else if (timer_waiter_) {
+    timer_cv_.notify_one();
+  }
+}
+
 void Executor::arm(Endpoint* ep, std::int64_t at_ns) {
   // Pairs with fire_timers(): the store to armed_ns_ and the load of
   // heap_ns_ here, and the store to heap_ns_ and the load of armed_ns_
@@ -114,7 +131,7 @@ void Executor::fire_timers(std::int64_t now) {
     ep->heap_ns_.store(kNever);
     const std::int64_t armed = ep->armed_ns_.load();
     if (armed <= now) {
-      if (ep->wake_for_timer()) ready_.push_back(ep);
+      if (ep->mark_runnable()) ready_.push_back(ep);
     } else if (armed != kNever) {
       push_timer(ep, armed);
     }

@@ -13,6 +13,9 @@
 //     pool thread;
 //   * its deadline expires.  One timer heap holds every endpoint's
 //     next_deadline(); an expiry goes to the shared queue.
+// A handler about to take long (a replica worker snapshotting its service)
+// calls spill() first, which hands its thread's local list to the shared
+// queue so the endpoints queued there run on other threads meanwhile.
 // Heap entries are lazy: a deadline that moves later leaves its old entry
 // in place, and a thread about to sleep first pops such stale entries
 // (re-pushing them at the new time), so a moved deadline never causes a
@@ -54,6 +57,12 @@ class Executor {
   /// Re-queues `ep`, already scheduled, behind this pool thread's other
   /// local work: its run stopped with messages still queued.
   void yield(Endpoint* ep);
+
+  /// Moves the calling pool thread's local list to the shared queue and
+  /// wakes an idle thread for it.  Called by a handler before a long step,
+  /// so the endpoints its sends queued locally need not wait for it.  A
+  /// no-op off this executor's pool.
+  void spill();
 
   /// Sets `ep`'s timer to `at_ns` (steady-clock ns; kNever clears it).
   /// Called only from `ep`'s own run.

@@ -7,6 +7,11 @@
 // than signalling a condition variable, so no thread sleeps on it.  The
 // mailbox's lock also guards that endpoint's run state, which is what keeps
 // one endpoint's handlers on one pool thread at a time.
+//
+// A pull-mode mailbox may also name a waker Endpoint (set_waker): its
+// consumer polls with try_pop() from that endpoint's turns, and a push wakes
+// the endpoint instead of signalling a sleeping thread.  A P-SMR replica
+// worker reads its learners this way.
 #pragma once
 
 #include <chrono>
@@ -59,7 +64,16 @@ class Mailbox {
     return pop_locked();
   }
 
-  /// Rejects further pushes and wakes every waiter.
+  /// Makes every later push wake `ep` (Endpoint::wake()) instead of
+  /// signalling a blocked pop().  The consumer then only polls, from `ep`'s
+  /// turns.  Call before `ep` starts; its first turn drains what is queued.
+  void set_waker(Endpoint* ep) {
+    std::lock_guard lock(mu_);
+    waker_ = ep;
+  }
+
+  /// Rejects further pushes and wakes every waiter.  A push wakes the waker
+  /// under the lock, so once close() returns no push can reach it again.
   void close() {
     std::lock_guard lock(mu_);
     closed_ = true;
@@ -89,9 +103,10 @@ class Mailbox {
 
   // Endpoint mode.  `scheduled_` is true from the moment the endpoint is
   // handed to the executor until its run ends with nothing left to do, so
-  // at most one pool thread runs it at a time.  `rerun_` records a timer
-  // expiry that arrived while it was scheduled.
+  // at most one pool thread runs it at a time.  `rerun_` records a wake() or
+  // timer expiry that arrived while it was scheduled.
   Endpoint* owner_ = nullptr;
+  Endpoint* waker_ = nullptr;  // pull mode: woken by each push
   bool started_ = false;
   bool scheduled_ = false;
   bool rerun_ = false;

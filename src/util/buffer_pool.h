@@ -308,6 +308,7 @@ class PayloadWriter {
   }
   /// Appends bytes verbatim with no length prefix.
   void raw(std::span<const std::uint8_t> data) {
+    if (data.empty()) return;  // an empty span's data() may be null
     ensure(data.size());
     std::memcpy(buf_.data() + size_, data.data(), data.size());
     size_ += data.size();

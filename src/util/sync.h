@@ -1,9 +1,8 @@
 // Small synchronization helpers shared across the runtime.
 //
-// Signal implements the thread-to-thread signalling primitive of the paper's
-// Algorithm 1 (lines 18–26): in synchronous mode, non-executing worker
-// threads `signal(t_e)` and then `wait for signal from t_e`.  It is a
-// counting semaphore so a signal sent before the receiver waits is not lost.
+// Signal is a counting semaphore for thread handshakes, so a signal sent
+// before the receiver waits is not lost.  (The P-SMR replica's Algorithm 1
+// signals are atomic counters that never block: smr/replica_psmr.h.)
 #pragma once
 
 #include <chrono>
@@ -13,7 +12,7 @@
 
 namespace psmr::util {
 
-/// Counting signal/semaphore used for Algorithm 1's barrier handshake.
+/// Counting signal/semaphore.
 class Signal {
  public:
   /// Delivers one signal; wakes one waiter if any.

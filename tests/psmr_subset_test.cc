@@ -1,11 +1,12 @@
 // Synchronous mode with *subset* destination sets (the general form of
 // Algorithm 1): commands multicast to two of k groups must barrier exactly
-// the two destination threads, stay ordered against every overlapping
+// the two destination workers, stay ordered against every overlapping
 // command, and never deadlock — the per-(sender, receiver) signal matrix in
 // PsmrReplica exists precisely for back-to-back subset commands with
 // overlapping-but-different destination sets.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <thread>
 
@@ -68,6 +69,28 @@ class SlotService : public SequentialService {
     return h;
   }
 
+  [[nodiscard]] bool snapshot_to(util::Writer& w) const override {
+    w.u64(slots_.size());
+    for (const auto& [s, v] : slots_) {
+      w.u64(s);
+      w.i64(v);
+    }
+    return true;
+  }
+  [[nodiscard]] bool restore_from(util::Reader& r) override {
+    try {
+      std::map<std::uint64_t, std::int64_t> slots;
+      for (std::uint64_t n = r.u64(); n > 0; --n) {
+        const std::uint64_t s = r.u64();
+        slots[s] = r.i64();
+      }
+      slots_ = std::move(slots);
+      return true;
+    } catch (const util::DecodeError&) {
+      return false;
+    }
+  }
+
  private:
   std::map<std::uint64_t, std::int64_t> slots_;
 };
@@ -99,9 +122,9 @@ class SlotCg : public CGFunction {
   std::size_t k_;
 };
 
-Deployment make_deployment(std::size_t mpl, std::uint64_t slots,
-                           const paxos::RingConfig& ring =
-                               test_support::fast_ring()) {
+DeploymentConfig slot_config(std::size_t mpl, std::uint64_t slots,
+                             const paxos::RingConfig& ring =
+                                 test_support::fast_ring()) {
   DeploymentConfig cfg;
   cfg.mode = Mode::kPsmr;
   cfg.mpl = mpl;
@@ -111,7 +134,13 @@ Deployment make_deployment(std::size_t mpl, std::uint64_t slots,
     return make_batched(std::make_unique<SlotService>(slots));
   };
   cfg.cg_factory = [](std::size_t k) { return std::make_shared<SlotCg>(k); };
-  return Deployment(std::move(cfg));
+  return cfg;
+}
+
+Deployment make_deployment(std::size_t mpl, std::uint64_t slots,
+                           const paxos::RingConfig& ring =
+                               test_support::fast_ring()) {
+  return Deployment(slot_config(mpl, slots, ring));
 }
 
 struct SlotClient {
@@ -128,11 +157,12 @@ struct SlotClient {
     w.u64(slot);
     return util::Reader(*proxy->call(kGet, w.take())).i64();
   }
-  void swap(std::uint64_t a, std::uint64_t b) {
+  /// False if the call timed out.
+  bool swap(std::uint64_t a, std::uint64_t b) {
     util::Writer w;
     w.u64(a);
     w.u64(b);
-    proxy->call(kSwap, w.take());
+    return proxy->call(kSwap, w.take()).has_value();
   }
   std::int64_t total() {
     return util::Reader(*proxy->call(kTotal, {})).i64();
@@ -245,6 +275,69 @@ TEST(PsmrSubset, SwapConservesSum) {
   SlotClient c{d.make_client()};
   EXPECT_EQ(c.total(), 3200);
   EXPECT_EQ(d.state_digest(0), d.state_digest(1));
+  d.stop();
+}
+
+TEST(PsmrSubset, ParkedBarriersOutnumberingThePoolNeverBlockIt) {
+  // More workers than pool threads, so at times more workers are parked at
+  // barriers than there are threads to run them: all-group totals, random
+  // two-group swaps and checkpoint markers (periodic and triggered) must
+  // all complete.  A worker that blocked its pool thread while waiting for
+  // a peer would wedge the deployment here.
+  const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
+  const std::size_t mpl = std::min<std::size_t>(64, 2 * hw + 1);
+  const std::uint64_t slots = 2 * mpl;
+  constexpr std::size_t kReplicas = 3;
+  DeploymentConfig cfg = slot_config(mpl, slots);
+  cfg.replicas = kReplicas;
+  cfg.checkpoint.enabled = true;
+  cfg.checkpoint.interval_commands = 32;
+  Deployment d(std::move(cfg));
+  d.start();
+  {
+    SlotClient init{d.make_client()};
+    for (std::uint64_t s = 0; s < slots; ++s) ASSERT_EQ(init.set(s, 100), 100);
+  }
+  const std::int64_t sum = 100 * static_cast<std::int64_t>(slots);
+  const std::uint64_t seed = test_support::logged_seed(21);
+  std::atomic<int> timeouts{0};
+  std::atomic<int> torn{0};
+  test_support::run_threads(4, [&](int t) {
+    SlotClient c{d.make_client()};
+    util::SplitMix64 rng(seed + static_cast<std::uint64_t>(t));
+    for (int i = 0; i < 60; ++i) {
+      if (i % 3 == 0) {
+        auto out = c.proxy->call(kTotal, {});
+        if (!out) {
+          ++timeouts;
+          return;  // a wedged deployment fails once per client, not 60x
+        }
+        if (util::Reader(*out).i64() != sum) ++torn;
+      } else {
+        // Two distinct groups, one slot in each.
+        const std::uint64_t ga = rng.next_below(mpl);
+        const std::uint64_t gb = (ga + 1 + rng.next_below(mpl - 1)) % mpl;
+        if (!c.swap(ga + mpl * rng.next_below(2),
+                    gb + mpl * rng.next_below(2))) {
+          ++timeouts;
+          return;
+        }
+      }
+      if (t == 0 && i % 20 == 10) d.trigger_checkpoint();
+    }
+  });
+  ASSERT_EQ(timeouts.load(), 0);
+  EXPECT_EQ(torn.load(), 0) << "a total saw a swap half done";
+  SlotClient c{d.make_client()};
+  EXPECT_EQ(c.total(), sum);
+  // Every replica executes every command once; compare once they all have.
+  const std::uint64_t commands = slots + 4 * 60 + 1;
+  test_support::wait_executed(d, commands, std::chrono::seconds(10));
+  for (std::size_t i = 0; i < kReplicas; ++i) {
+    ASSERT_EQ(d.executed(i), commands) << "replica " << i;
+    EXPECT_EQ(d.state_digest(i), d.state_digest(0)) << "replica " << i;
+    EXPECT_GT(d.checkpoints_taken(i), 0u) << "replica " << i;
+  }
   d.stop();
 }
 

@@ -129,6 +129,7 @@ TEST(Network, StatsCountBytes) {
 class EchoEndpoint : public Endpoint {
  public:
   explicit EchoEndpoint(Network& net) : Endpoint(net, "echo") {}
+  ~EchoEndpoint() override { stop(); }
   std::atomic<int> handled{0};
 
  protected:
@@ -155,6 +156,7 @@ TEST(Endpoint, EchoesMessages) {
 class TickingEndpoint : public Endpoint {
  public:
   explicit TickingEndpoint(Network& net) : Endpoint(net, "ticker") {}
+  ~TickingEndpoint() override { stop(); }
   std::atomic<int> ticks{0};
 
  protected:
@@ -188,6 +190,43 @@ TEST(Endpoint, StopIsIdempotent) {
   echo.stop();  // must not hang or crash
 }
 
+/// Every handler turn writes its own member; stop() comes from its
+/// destructor, before that member is destroyed.
+class TallyEndpoint : public Endpoint {
+ public:
+  explicit TallyEndpoint(Network& net) : Endpoint(net, "tally") {}
+  ~TallyEndpoint() override { stop(); }
+  std::atomic<int> handled{0};
+
+ protected:
+  void handle(Message msg) override {
+    sizes_.push_back(msg.payload.size());
+    if (sizes_.size() > 64) sizes_.clear();
+    handled++;
+  }
+
+ private:
+  std::vector<std::size_t> sizes_;
+};
+
+TEST(Endpoint, DestroyedWhileBusyWithoutStop) {
+  Network net;
+  auto [me, box] = net.register_node();
+  for (int round = 0; round < 20; ++round) {
+    auto ep = std::make_unique<TallyEndpoint>(net);
+    ep->start();
+    const NodeId to = ep->id();
+    // Sends until the destroyed endpoint's mailbox rejects them.
+    std::thread sender([&net, me = me, to] {
+      while (net.send(me, to, 1, util::Buffer{1})) {
+      }
+    });
+    while (ep->handled.load() < 100) std::this_thread::yield();
+    ep.reset();  // a handler turn may be running on a pool thread
+    sender.join();
+  }
+}
+
 // --- Executor: actor semantics on the shared pool ---
 
 /// Records, per sender, the sequence numbers it saw, and flags any
@@ -196,6 +235,7 @@ class RecordingEndpoint : public Endpoint {
  public:
   RecordingEndpoint(Network& net, std::size_t senders)
       : Endpoint(net, "recorder"), seen(senders) {}
+  ~RecordingEndpoint() override { stop(); }
   std::vector<std::vector<std::uint32_t>> seen;  // read after stop()
   std::atomic<int> active{0};
   std::atomic<int> overlaps{0};
@@ -252,6 +292,7 @@ TEST(Executor, ConcurrentSendersSeeOneHandlerAtATimeInFifoOrder) {
 class BlockingEndpoint : public Endpoint {
  public:
   explicit BlockingEndpoint(Network& net) : Endpoint(net, "blocker") {}
+  ~BlockingEndpoint() override { stop(); }
   std::atomic<bool> entered{false};
   std::atomic<bool> returned{false};
   std::atomic<int> calls{0};
@@ -333,6 +374,7 @@ TEST(Executor, MoreTickingEndpointsThanPoolThreadsAllFire) {
 class MovingDeadlineEndpoint : public Endpoint {
  public:
   explicit MovingDeadlineEndpoint(Network& net) : Endpoint(net, "mover") {}
+  ~MovingDeadlineEndpoint() override { stop(); }
   std::atomic<int> asks{0};
   std::atomic<int> fired{0};
 
@@ -381,18 +423,74 @@ std::size_t process_threads() {
   return n;
 }
 
-TEST(Executor, PsmrDeploymentThreadsArePoolPlusWorkers) {
+/// Sends to `target` from its handler, which queues the target on this pool
+/// thread's local list, then spills and takes 200 ms.
+class SpillingEndpoint : public Endpoint {
+ public:
+  SpillingEndpoint(Network& net, NodeId target)
+      : Endpoint(net, "spiller"), target_(target) {}
+  ~SpillingEndpoint() override { stop(); }
+  std::atomic<Clock::rep> sent_at{0};
+
+ protected:
+  void handle(Message) override {
+    sent_at = Clock::now().time_since_epoch().count();
+    send(target_, 1, {});
+    network().executor().spill();
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  }
+
+ private:
+  NodeId target_;
+};
+
+/// Records when its first handler ran.
+class StampEndpoint : public Endpoint {
+ public:
+  explicit StampEndpoint(Network& net) : Endpoint(net, "stamp") {}
+  ~StampEndpoint() override { stop(); }
+  std::atomic<Clock::rep> ran_at{0};
+
+ protected:
+  void handle(Message) override {
+    if (ran_at.load() == 0) ran_at = Clock::now().time_since_epoch().count();
+  }
+};
+
+TEST(Executor, SpilledLocalWorkRunsOnAnotherThread) {
+  Network net;
+  if (net.executor().threads() < 2) {
+    GTEST_SKIP() << "a one-thread pool has no other thread to spill to";
+  }
+  StampEndpoint b(net);
+  SpillingEndpoint a(net, b.id());
+  auto [me, box] = net.register_node();
+  b.start();
+  a.start();
+  ASSERT_TRUE(net.send(me, a.id(), 1, {}));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (b.ran_at.load() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_NE(b.ran_at.load(), 0);
+  // Without the spill, B would wait out A's 200 ms on A's local list.
+  EXPECT_LT(std::chrono::steady_clock::duration(b.ran_at - a.sent_at),
+            std::chrono::milliseconds(50));
+  a.stop();
+  b.stop();
+}
+
+TEST(Executor, PsmrDeploymentThreadsAreThePool) {
   constexpr std::size_t kMpl = 4;
   const std::size_t before = process_threads();
   ASSERT_GT(before, 0u) << "/proc/self/task unavailable";
   smr::Deployment d(test_support::kv_config(smr::Mode::kPsmr, kMpl));
   d.start();
   const std::size_t added = process_threads() - before;
-  // The pool, one thread per worker per replica (2 replicas), and the
-  // network's delay pacer; the 5 rings' 20 coordinator and acceptor
-  // endpoints own no thread.
-  EXPECT_LE(added, std::max(1u, std::thread::hardware_concurrency()) +
-                       2 * kMpl + 2);
+  // The pool and the network's delay pacer: the 5 rings' 20 coordinator
+  // and acceptor endpoints and both replicas' 8 workers own no thread.
+  EXPECT_LE(added, std::max(1u, std::thread::hardware_concurrency()) + 2);
   EXPECT_EQ(d.network().executor().threads(),
             std::max(1u, std::thread::hardware_concurrency()));
 }
