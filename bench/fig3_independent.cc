@@ -9,7 +9,7 @@
 //
 // `--json <path>` additionally measures the replica-side batched-execution
 // record (PR: batch-aware Service API): the same fig3 mix driven through
-// the replica execution pipeline — delivery thread → scheduler → worker →
+// the replica execution pipeline — feeding thread → scheduler → worker →
 // B+-tree → marshaled reply — with execution batching on (run length 16,
 // reads resolve through the pipelined find_batch lane) vs off (run
 // length 1, the pre-batching sequential path), plus a full-deployment
@@ -40,7 +40,7 @@ struct PipelineResult {
   smr::ExecStats exec;
 };
 
-// The replica execution pipeline under the fig3 mix: a single delivery
+// The replica execution pipeline under the fig3 mix: a single
 // thread feeds uniform point reads into a SchedulerCore (the sP-SMR/no-rep
 // engine; P-SMR workers run the same accumulate-and-execute loop) and every
 // response is marshaled and delivered to a real mailbox.  Command

@@ -68,13 +68,13 @@ class MergeDeliverer {
   /// shut down and no further poll or next() will ever deliver.
   enum class Poll { kDelivered, kDry, kClosed };
 
-  /// Non-blocking variant of next().  Consumes the identical merged
-  /// sequence as next() — a fetched head stays held until the merge
-  /// consumes it — so callers may freely interleave the two (the replica
-  /// batch accumulators poll and fall back to next() only while the
-  /// stream is merely dry).  Unlike a bare optional, the result separates
-  /// "dry" from "closed": a caller that blocked on next() after a kClosed
-  /// poll would be waiting on a stream that can never produce again.
+  /// Non-blocking variant of next(), and the one replicas use (from their
+  /// endpoints' turns).  Consumes the identical merged sequence as next()
+  /// — a fetched head stays held until the merge consumes it — so callers
+  /// may freely interleave the two.  Unlike a bare optional, the result
+  /// separates "dry" from "closed": a caller that blocked on next() after
+  /// a kClosed poll would be waiting on a stream that can never produce
+  /// again.
   Poll try_next(Delivery& out) {
     if (auto d = pump([](paxos::LearnerLog& log) { return log.try_next(); })) {
       out = std::move(*d);

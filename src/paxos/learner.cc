@@ -1,5 +1,6 @@
 #include "paxos/learner.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "util/log.h"
@@ -24,59 +25,30 @@ LearnerLog::LearnerLog(transport::Network& net, RingId ring,
 }
 
 std::optional<Decision> LearnerLog::next() {
-  assert(!has_waker_ && "a log with a waker is read with try_next()");
-  while (true) {
-    if (closed_.load(std::memory_order_relaxed)) return std::nullopt;
-    if (auto d = take_ready()) return d;
-    auto msg = mailbox_->pop_for(kCatchupAfter);
-    if (msg) {
-      ingest(std::move(*msg));
-      // Traffic alone is not progress: a merged-delivery ring keeps
-      // deciding lease skips while its peers run, so a learner stuck
-      // behind a gap (dropped DECIDE, or a recovery subscription below the
-      // live stream) would wait on the silent-mailbox branch forever.
-      // Trigger catch-up on stalled *delivery*, paced like next_for().
-      if (chrono::steady_clock::now() - last_progress_ > kCatchupAfter) {
-        request_catchup();
-        last_progress_ = chrono::steady_clock::now();  // pace the requests
-      }
-      continue;
-    }
-    if (mailbox_->closed() && mailbox_->empty()) return std::nullopt;
-    // No traffic for a while: we may be stuck behind a gap (dropped DECIDE)
-    // or have subscribed after instances were decided.  Ask an acceptor;
-    // the reply is empty if nothing is missing.
-    request_catchup();
-  }
+  return next_until(chrono::steady_clock::time_point::max());
 }
 
 std::optional<Decision> LearnerLog::next_for(chrono::microseconds timeout) {
+  return next_until(chrono::steady_clock::now() + timeout);
+}
+
+std::optional<Decision> LearnerLog::next_until(
+    chrono::steady_clock::time_point deadline) {
   assert(!has_waker_ && "a log with a waker is read with try_next()");
-  auto deadline = chrono::steady_clock::now() + timeout;
   while (true) {
+    if (auto d = try_next()) return d;
     if (closed_.load(std::memory_order_relaxed)) return std::nullopt;
-    if (auto d = take_ready()) return d;
     auto now = chrono::steady_clock::now();
     if (now >= deadline) return std::nullopt;
-    auto wait = std::min(chrono::duration_cast<chrono::microseconds>(
-                             deadline - now),
-                         kCatchupAfter);
-    auto msg = mailbox_->pop_for(wait);
-    if (msg) {
+    // Wake at least every kCatchupAfter, so try_next()'s stalled-delivery
+    // trigger runs while the mailbox is silent.
+    auto wait = std::min(
+        chrono::duration_cast<chrono::microseconds>(deadline - now),
+        chrono::microseconds(kCatchupAfter));
+    if (auto msg = mailbox_->pop_for(wait)) {
       ingest(std::move(*msg));
-      // Same stalled-delivery trigger as next(): live skip traffic keeps
-      // the mailbox busy, so a learner stuck behind a gap would otherwise
-      // never reach the silent-mailbox catch-up branch below.
-      if (chrono::steady_clock::now() - last_progress_ > kCatchupAfter) {
-        request_catchup();
-        last_progress_ = chrono::steady_clock::now();  // pace the requests
-      }
     } else if (mailbox_->closed() && mailbox_->empty()) {
       return std::nullopt;
-    } else if (chrono::steady_clock::now() - last_progress_ >
-               kCatchupAfter) {
-      request_catchup();
-      last_progress_ = chrono::steady_clock::now();  // pace the requests
     }
   }
 }
@@ -85,8 +57,11 @@ std::optional<Decision> LearnerLog::try_next() {
   if (closed_.load(std::memory_order_relaxed)) return std::nullopt;
   while (auto msg = mailbox_->try_pop()) ingest(std::move(*msg));
   if (auto d = take_ready()) return d;
-  // A consumer that only polls never reaches next()'s silent-mailbox
-  // branch, so apply the same paced stalled-delivery trigger here.
+  // Stalled delivery, not silence, triggers catch-up: a merged-delivery
+  // ring keeps deciding lease skips while its peers run, so a learner stuck
+  // behind a gap (dropped DECIDE, or a recovery subscription below the live
+  // stream) may see steady traffic and still never progress.  An acceptor
+  // replies with nothing if nothing is missing.
   auto now = chrono::steady_clock::now();
   if (now - last_progress_ > kCatchupAfter) {
     request_catchup();

@@ -9,11 +9,14 @@
 //
 // A P-SMR replica worker reads its learners itself: delivery happens
 // *inside* the worker with no central dispatcher, which is the core
-// architectural claim of the paper (parallel delivery, Table I).  The
-// worker is an executor endpoint, so it does not block in next(): it sets
-// itself as the log's waker (set_waker) and polls try_next() from its
-// turns, and each DECIDE wakes it.  Blocking consumers (the sP-SMR delivery
-// thread, tests, perfbench's tracer) use next()/next_for() as before.
+// architectural claim of the paper (parallel delivery, Table I).  Replica
+// readers (P-SMR workers, the sP-SMR delivery endpoint) are executor
+// endpoints, so they do not block in next(): each sets itself as the log's
+// waker (set_waker) and polls try_next() from its turns, and each DECIDE
+// wakes it.  perfbench's tracer polls try_next() too.  Blocking readers
+// (tests, bench/micro_multicast) use next()/next_for(), which wait on the
+// mailbox between try_next() calls.  try_next() alone decides when to ask
+// for catch-up.
 #pragma once
 
 #include <atomic>
@@ -45,8 +48,8 @@ class LearnerLog {
   [[nodiscard]] RingId ring() const { return ring_; }
 
   /// Blocks until the next in-order decision is available.  Returns
-  /// std::nullopt only when the network shuts down.  Not on a log with a
-  /// waker.
+  /// std::nullopt only once the log or its mailbox is closed and drained.
+  /// Not on a log with a waker.
   std::optional<Decision> next();
 
   /// Bounded wait; std::nullopt on timeout or shutdown.  Not on a log with
@@ -67,7 +70,9 @@ class LearnerLog {
   static constexpr std::chrono::microseconds kCatchupAfter{20000};
 
   /// Non-blocking variant.  std::nullopt means "no in-order decision ready
-  /// yet" *or* "closed" — poll closed() to tell the two apart.
+  /// yet" *or* "closed" — poll closed() to tell the two apart.  Asks an
+  /// acceptor for the missing instances when delivery has stalled for
+  /// kCatchupAfter, at most once per kCatchupAfter.
   std::optional<Decision> try_next();
 
   /// Instance the next() call will return (number of decisions delivered).
@@ -91,6 +96,10 @@ class LearnerLog {
   }
 
  private:
+  /// next() and next_for(): try_next(), and between calls wait on the
+  /// mailbox for at most kCatchupAfter at a time.
+  std::optional<Decision> next_until(
+      std::chrono::steady_clock::time_point deadline);
   void ingest(transport::Message&& msg);
   std::optional<Decision> take_ready();
   void request_catchup();

@@ -7,10 +7,9 @@
 // client messages — isolating the cost of atomic multicast when the two are
 // compared.
 //
-// The server endpoint runs on the network's executor pool.  A serialized
-// command makes its handler block in SchedulerCore::drain(), which waits
-// only on the core's own worker threads, never on the pool, so the block
-// cannot deadlock the executor.
+// The server endpoint and the core's workers all run on the network's
+// executor pool; the handler hands each command to the non-blocking
+// SchedulerCore::schedule() and returns.
 #pragma once
 
 #include <memory>

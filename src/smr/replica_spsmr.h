@@ -1,13 +1,17 @@
 // sP-SMR replica: sequential delivery, parallel execution (paper Table I).
 //
-// One delivery thread consumes the single totally ordered stream (the bus is
-// configured with one group) and feeds the SchedulerCore, which dispatches
-// to worker threads.  Contrast with PsmrReplica, where each worker delivers
-// its own stream.
+// One delivery endpoint consumes the single totally ordered stream (the bus
+// is configured with one group) and feeds the SchedulerCore, which
+// dispatches to its worker endpoints.  Contrast with PsmrReplica, where each
+// worker delivers its own stream.  Nothing here owns a thread: the stream's
+// learner wakes the delivery endpoint on every DECIDE (Mailbox::set_waker),
+// and its turn pumps try_next() into the scheduler until the stream is dry
+// or kTurnDeliveries commands are spent (then it wakes itself and yields).
+// A silent stream still gets a turn every LearnerLog::kCatchupAfter, so the
+// learner's catch-up runs.
 #pragma once
 
 #include <memory>
-#include <thread>
 
 #include "multicast/amcast.h"
 #include "smr/scheduler.h"
@@ -17,7 +21,7 @@ namespace psmr::smr {
 class SpsmrReplica {
  public:
   /// The bus must have exactly one group (single delivery stream); `mpl`
-  /// worker threads execute, and `cg` (computed for k = mpl) provides the
+  /// workers execute, and `cg` (computed for k = mpl) provides the
   /// scheduler's dependency partitioning.  `options` tunes the workers'
   /// execution batching and dedup bounds (see SchedulerOptions).
   SpsmrReplica(transport::Network& net, multicast::Bus& bus,
@@ -41,13 +45,20 @@ class SpsmrReplica {
   }
 
  private:
-  void delivery_loop();
+  class Deliverer;
+
+  /// Commands the delivery endpoint may schedule in one turn before it
+  /// yields its pool thread.
+  static constexpr std::size_t kTurnDeliveries = 64;
+
+  /// One turn of the delivery endpoint.
+  void turn();
 
   SchedulerCore core_;
   std::unique_ptr<multicast::MergeDeliverer> sub_;
-  std::thread delivery_thread_;
   std::string name_;
-  bool started_ = false;
+  /// Last member: it stops before the state its turns use goes.
+  std::unique_ptr<Deliverer> deliverer_;
 };
 
 }  // namespace psmr::smr

@@ -1,5 +1,6 @@
 #include "smr/scheduler.h"
 
+#include "transport/endpoint.h"
 #include "util/log.h"
 
 namespace psmr::smr {
@@ -32,6 +33,32 @@ class ReplySink final : public ResponseSink {
 
 }  // namespace
 
+/// One scheduler worker: an endpoint woken by dispatches to its queue.
+/// Receives no messages; its turn is SchedulerCore::turn.
+class SchedulerCore::Worker final : public transport::Endpoint {
+ public:
+  Worker(SchedulerCore& core, std::size_t index)
+      : Endpoint(core.net_, core.name_ + "-worker-" + std::to_string(index)),
+        core_(core),
+        index_(index) {
+    run_.reserve(core.opts_.run_length);
+  }
+  ~Worker() override { stop(); }
+
+ protected:
+  void handle(transport::Message msg) override {
+    PSMR_WARN(name() << ": unexpected msg type " << msg.type);
+  }
+  void on_run() override { core_.turn(*this); }
+
+ private:
+  friend class SchedulerCore;
+
+  SchedulerCore& core_;
+  const std::size_t index_;
+  std::vector<Command> run_;  // reused across turns
+};
+
 SchedulerCore::SchedulerCore(transport::Network& net,
                              std::unique_ptr<Service> service,
                              std::shared_ptr<const CGFunction> cg,
@@ -41,7 +68,8 @@ SchedulerCore::SchedulerCore(transport::Network& net,
       service_(std::move(service)),
       cg_(std::move(cg)),
       name_(std::move(name)),
-      opts_(options) {
+      opts_(options),
+      queues_(num_workers) {
   if (cg_->mpl() != num_workers) {
     throw std::invalid_argument(
         "SchedulerCore: C-G mpl must equal the worker count");
@@ -49,30 +77,22 @@ SchedulerCore::SchedulerCore(transport::Network& net,
   if (opts_.run_length == 0) {
     throw std::invalid_argument("SchedulerCore: run_length must be >= 1");
   }
-  for (std::size_t i = 0; i < num_workers; ++i) {
-    slots_.push_back(std::make_unique<WorkerSlot>());
-  }
   auto [id, box] = net.register_node();
   reply_node_ = id;
   replies_ = make_reply_spool(net_, opts_.replies);
+  for (std::size_t i = 0; i < num_workers; ++i) {
+    workers_.push_back(std::make_unique<Worker>(*this, i));
+  }
 }
 
 SchedulerCore::~SchedulerCore() { stop(); }
 
 void SchedulerCore::start() {
-  if (started_) return;
-  started_ = true;
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
-  }
+  for (auto& w : workers_) w->start();
 }
 
 void SchedulerCore::stop() {
-  for (auto& slot : slots_) slot->queue.close();
-  for (auto& w : workers_) {
-    if (w.joinable()) w.join();
-  }
-  workers_.clear();
+  for (auto& w : workers_) w->stop();
 }
 
 void SchedulerCore::schedule(Command cmd) {
@@ -86,15 +106,13 @@ void SchedulerCore::schedule(Command cmd) {
   maybe_evict_dedup();
 
   const multicast::GroupSet groups = cg_->groups(cmd);
-  if (groups.singleton()) {
-    dispatch(groups.min(), std::move(cmd));
-    return;
+  multicast::GroupSet woken;
+  {
+    std::lock_guard lock(mu_);
+    backlog_.push_back({groups, std::move(cmd)});
+    woken = pump_locked();
   }
-  // Serialized command: let in-flight work finish, run it alone, and only
-  // then resume dispatching (the paper's drain-assign-drain behaviour).
-  drain();
-  dispatch(groups.min() < slots_.size() ? groups.min() : 0, std::move(cmd));
-  drain();
+  wake(woken);
 }
 
 void SchedulerCore::maybe_evict_dedup() {
@@ -109,70 +127,79 @@ void SchedulerCore::maybe_evict_dedup() {
   });
 }
 
-void SchedulerCore::dispatch(std::size_t worker, Command cmd) {
-  {
-    std::lock_guard lock(idle_mu_);
+multicast::GroupSet SchedulerCore::pump_locked() {
+  std::uint64_t woken = 0;
+  while (!backlog_.empty() && !serial_) {
+    Pending& next = backlog_.front();
+    std::size_t worker = next.groups.empty() ? 0 : next.groups.min();
+    if (!next.groups.singleton()) {
+      // Serialized command: let in-flight work finish, then run it alone;
+      // the run that finishes it pumps again.
+      if (in_flight_ > 0) break;
+      serial_ = true;
+      if (worker >= queues_.size()) worker = 0;
+    }
+    auto& queue = queues_[worker];
+    if (queue.empty()) woken |= std::uint64_t{1} << worker;
+    queue.push_back(std::move(next.cmd));
     ++in_flight_;
+    backlog_.pop_front();
   }
-  slots_[worker]->queue.push(std::move(cmd));
+  return multicast::GroupSet::from_mask(woken);
 }
 
-void SchedulerCore::drain() {
-  std::unique_lock lock(idle_mu_);
-  idle_cv_.wait(lock, [&] { return in_flight_ == 0; });
+void SchedulerCore::wake(multicast::GroupSet workers) {
+  workers.for_each([&](multicast::GroupId i) { workers_[i]->wake(); });
+}
+
+void SchedulerCore::turn(Worker& w) {
+  for (std::size_t n = 0; n < kTurnRuns; ++n) {
+    {
+      std::lock_guard lock(mu_);
+      take_run_locked(w.index_, w.run_);
+    }
+    if (w.run_.empty()) return;
+    // The dispatch that woke this worker may have queued its peers on this
+    // pool thread's local list as well; hand them to idle threads so the
+    // runs execute in parallel, not one after another here.
+    net_.executor().spill();
+    execute_run(w.run_);
+  }
+  w.wake();  // budget spent: go round again after the thread's other work
+}
+
+void SchedulerCore::take_run_locked(std::size_t i, std::vector<Command>& run) {
+  auto& queue = queues_[i];
+  while (!queue.empty() && run.size() < opts_.run_length) {
+    const Command& next = queue.front();
+    for (const Command& member : run) {
+      if (!service_->may_share_batch(member, next)) return;
+    }
+    run.push_back(std::move(queue.front()));
+    queue.pop_front();
+  }
 }
 
 void SchedulerCore::execute_run(std::vector<Command>& run) {
   ReplySink sink(*replies_, reply_node_, run);
   CommandBatch batch{std::span<const Command>(run), &sink};
   service_->execute_batch(batch);
-  // Batch boundary: the run's replies go on the wire before this worker
-  // reports idle, so drain() never completes with responses still spooled.
+  // Batch boundary: the run's replies go on the wire before it counts as
+  // finished, so a serialized command never runs with replies still
+  // spooled ahead of it.
   replies_->flush_all(reply_node_);
   executed_.fetch_add(run.size(), std::memory_order_release);
+  multicast::GroupSet woken;
   {
-    std::lock_guard lock(idle_mu_);
+    std::lock_guard lock(mu_);
     in_flight_ -= static_cast<std::int64_t>(run.size());
-    if (in_flight_ == 0) idle_cv_.notify_all();
-  }
-}
-
-void SchedulerCore::worker_loop(std::size_t i) {
-  auto& slot = *slots_[i];
-  std::vector<Command> run;
-  run.reserve(opts_.run_length);
-  // A popped command that cannot join the current run (dependency, or the
-  // run is this worker's to order) carries over as the next run's seed; the
-  // queue has a single consumer, so holding one back preserves FIFO order.
-  std::optional<Command> held;
-  for (;;) {
-    run.clear();
-    if (held) {
-      run.push_back(std::move(*held));
-      held.reset();
-    } else {
-      auto cmd = slot.queue.pop();
-      if (!cmd) break;  // queue closed and drained
-      run.push_back(std::move(*cmd));
+    if (in_flight_ == 0) {
+      serial_ = false;
+      woken = pump_locked();
     }
-    while (run.size() < opts_.run_length) {
-      auto next = slot.queue.try_pop();
-      if (!next) break;  // drain-on-empty: never wait to fill a batch
-      bool joins = true;
-      for (const Command& member : run) {
-        if (!service_->may_share_batch(member, *next)) {
-          joins = false;
-          break;
-        }
-      }
-      if (!joins) {
-        held = std::move(*next);
-        break;
-      }
-      run.push_back(std::move(*next));
-    }
-    execute_run(run);
   }
+  run.clear();
+  wake(woken);
 }
 
 }  // namespace psmr::smr

@@ -1,13 +1,13 @@
-// Scheduler + worker pool: the execution engine of sP-SMR and no-rep.
+// Scheduler + workers: the execution engine of sP-SMR and no-rep.
 //
 // In semi-parallel SMR (paper Section III and the Kotla/Dahlin & Eve line of
 // work), commands are delivered as a single sequential stream; a scheduler
-// thread inspects dependencies and hands independent commands to worker
-// threads, while a command that requires serialization makes the scheduler
-// "wait for the worker threads to finish their ongoing work and then assign
-// the request to one worker thread" (Section VI-C).  This central component
-// is exactly the bottleneck P-SMR removes; we reproduce it faithfully so
-// the comparison is honest.
+// inspects dependencies and hands independent commands to workers, while a
+// command that requires serialization makes the scheduler "wait for the
+// worker threads to finish their ongoing work and then assign the request
+// to one worker thread" (Section VI-C).  This central component is exactly
+// the bottleneck P-SMR removes; we reproduce it faithfully so the
+// comparison is honest.
 //
 // Dependency decisions reuse the same C-G function P-SMR uses (computed for
 // k = #workers): a singleton γ means the command conflicts only with
@@ -15,20 +15,30 @@
 // that worker's FIFO queue preserves their order); a multi-group γ means it
 // must be serialized against everything (drain, run, drain).
 //
-// Batched execution: each worker accumulates a contiguous run of mutually
-// independent commands from its FIFO queue (up to run_length; a conflicting
-// or same-client-stale command ends the run, and an empty queue flushes
-// immediately so latency is never traded for batch size) and executes it as
-// one Service::execute_batch call — carrying the delivery layer's batch
-// shape down to batch-aware services like the B+-tree's pipelined
-// find_batch.  See service.h for why any run split is deterministic.
+// Nothing here owns a thread or waits.  Each worker is an Endpoint on the
+// network's executor, like a P-SMR replica worker: a dispatch to its empty
+// queue wakes it, and its turn executes runs from the queue's head.
+// schedule() appends to an ordered backlog and pumps it: commands leave
+// the backlog in order, the pump stops at a multi-group command while
+// anything is in flight and stays stopped while that command runs alone,
+// and the run that brings the in-flight count back to zero pumps again.
+// That is the paper's drain-assign-drain without a waiting scheduler.  One
+// mutex guards the worker queues, the backlog and the in-flight count.
+//
+// Batched execution: each worker takes a contiguous run of mutually
+// independent commands from the head of its FIFO queue (up to run_length;
+// a conflicting or same-client-stale command ends the run, and an empty
+// queue flushes immediately so latency is never traded for batch size) and
+// executes it as one Service::execute_batch call — carrying the delivery
+// layer's batch shape down to batch-aware services like the B+-tree's
+// pipelined find_batch.  See service.h for why any run split is
+// deterministic.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
+#include <deque>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -36,7 +46,6 @@
 #include "smr/response_batch.h"
 #include "smr/service.h"
 #include "transport/network.h"
-#include "util/queue.h"
 
 namespace psmr::smr {
 
@@ -65,16 +74,21 @@ class SchedulerCore {
   SchedulerCore(const SchedulerCore&) = delete;
   SchedulerCore& operator=(const SchedulerCore&) = delete;
 
+  /// Starts the worker endpoints; commands scheduled before start() run
+  /// once it is called.
   void start();
+  /// Stops the worker endpoints.  Commands scheduled but not yet executed
+  /// are dropped; a run already executing completes first.  Idempotent.
   void stop();
 
-  /// Routes one command.  Must be called from a single scheduling thread
-  /// (the delivery thread in sP-SMR, the server endpoint in no-rep).
+  /// Routes one command and returns without waiting for any execution.
+  /// Must be called from a single feeding thread at a time (the delivery
+  /// endpoint in sP-SMR, the server endpoint in no-rep).
   void schedule(Command cmd);
 
   [[nodiscard]] std::uint64_t executed() const { return executed_.load(); }
   [[nodiscard]] const Service& service() const { return *service_; }
-  [[nodiscard]] std::size_t num_workers() const { return workers_.size(); }
+  [[nodiscard]] std::size_t num_workers() const { return queues_.size(); }
   /// Current per-client dedup map population (bounded-growth tests).
   [[nodiscard]] std::size_t dedup_size() const { return dedup_.size(); }
   /// Reply-path wire counters (messages, responses, flush reasons).
@@ -83,11 +97,24 @@ class SchedulerCore {
   }
 
  private:
-  void worker_loop(std::size_t i);
-  void dispatch(std::size_t worker, Command cmd);
+  class Worker;
+
+  /// Runs a worker may execute in one turn before it yields its pool
+  /// thread.
+  static constexpr std::size_t kTurnRuns = 16;
+
+  /// One turn of worker `w`: executes runs until its queue is empty or
+  /// kTurnRuns runs are spent (then it wakes itself and yields).
+  void turn(Worker& w);
+  /// Moves the longest shareable run from the head of worker `i`'s queue
+  /// into `run`.  Caller holds mu_.
+  void take_run_locked(std::size_t i, std::vector<Command>& run);
   void execute_run(std::vector<Command>& run);
-  /// Blocks the scheduler until every worker queue is empty and idle.
-  void drain();
+  /// Dispatches backlog commands in order while the drain rule allows;
+  /// returns the workers whose queues went from empty to non-empty, to be
+  /// woken once mu_ is released.  Caller holds mu_.
+  multicast::GroupSet pump_locked();
+  void wake(multicast::GroupSet workers);
   void maybe_evict_dedup();
 
   transport::Network& net_;
@@ -95,18 +122,18 @@ class SchedulerCore {
   std::shared_ptr<const CGFunction> cg_;
   const std::string name_;
   const SchedulerOptions opts_;
-
-  struct WorkerSlot {
-    util::BlockingQueue<Command> queue;
-  };
-  std::vector<std::unique_ptr<WorkerSlot>> slots_;
-  std::vector<std::thread> workers_;
   transport::NodeId reply_node_ = transport::kNoNode;
   std::unique_ptr<ReplySpool> replies_;
 
-  std::mutex idle_mu_;
-  std::condition_variable idle_cv_;
+  struct Pending {
+    multicast::GroupSet groups;
+    Command cmd;
+  };
+  std::mutex mu_;
+  std::deque<Pending> backlog_;              // scheduled, not dispatched
+  std::vector<std::deque<Command>> queues_;  // one FIFO per worker
   std::int64_t in_flight_ = 0;  // commands dispatched but not finished
+  bool serial_ = false;         // a multi-group command is in flight
 
   struct DedupEntry {
     Seq seq = 0;
@@ -115,7 +142,8 @@ class SchedulerCore {
   std::unordered_map<ClientId, DedupEntry> dedup_;
   std::uint64_t schedule_ticks_ = 0;
   std::atomic<std::uint64_t> executed_{0};
-  bool started_ = false;
+  /// Last member: the workers stop before the state their turns use goes.
+  std::vector<std::unique_ptr<Worker>> workers_;
 };
 
 }  // namespace psmr::smr

@@ -1,18 +1,23 @@
 // Message-driven actor base: handlers run on the Network's executor pool.
 //
 // Paxos coordinators and acceptors, the replicas' snapshot servers, the
-// lock-server and no-rep handlers, and the P-SMR replica workers are
-// Endpoints.  None owns a thread: a push to an endpoint's mailbox, a wake()
-// or an expired deadline makes it runnable, and one of the Network's pool
-// threads (transport/executor.h) runs its turn.  Handlers of one endpoint
-// never run on two threads at once and see its messages in FIFO order.
+// lock-server and no-rep handlers, the P-SMR replica workers, the sP-SMR
+// delivery endpoints and the scheduler workers of sP-SMR and no-rep
+// (smr/scheduler.h) are Endpoints.  None owns a thread: a push to an
+// endpoint's mailbox, a wake() or an expired deadline makes it runnable,
+// and one of the Network's pool threads (transport/executor.h) runs its
+// turn.  Handlers of one endpoint never run on two threads at once and see
+// its messages in FIFO order.
 //
-// A replica worker receives no messages: its learners' mailboxes name it as
-// their waker (Mailbox::set_waker), so a DECIDE wakes it and its on_run()
-// pumps its own merge (multicast/merge.h).  Delivery still happens inside
-// the worker, with no central dispatcher in between — the architectural
-// point of P-SMR — and a DECIDE sent from a pool thread runs the worker
-// right after the sender's handler, without waking a sleeping thread.
+// Replica workers and delivery endpoints receive no messages; they do
+// their work in on_run().  A P-SMR worker's learners name it as their
+// waker (Mailbox::set_waker), so a DECIDE wakes it and its on_run() pumps
+// its own merge (multicast/merge.h).  Delivery still happens inside the
+// worker, with no central dispatcher in between — the architectural point
+// of P-SMR — and a DECIDE sent from a pool thread runs the worker right
+// after the sender's handler, without waking a sleeping thread.  The
+// sP-SMR delivery endpoint is woken the same way and feeds the scheduler,
+// whose dispatches wake its workers.
 //
 // Destruction: every concrete subclass must call stop() first in its own
 // destructor.  ~Endpoint() runs after the subclass's members are gone, so

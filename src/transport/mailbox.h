@@ -1,8 +1,8 @@
 // A node's receive queue on the in-process network.
 //
-// Two kinds of node own one.  A pull-mode node (a LearnerLog, a
-// ClientProxy, a test) blocks in pop()/pop_for() on its own thread, like a
-// socket read.  An Endpoint's mailbox is push-mode instead: a push makes the
+// Two kinds of node own one.  A pull-mode node (a LearnerLog read with
+// next(), a ClientProxy, a test) blocks in pop()/pop_for() on its own
+// thread, like a socket read.  An Endpoint's mailbox is push-mode instead: a push makes the
 // endpoint runnable on its Network's Executor (transport/executor.h) rather
 // than signalling a condition variable, so no thread sleeps on it.  The
 // mailbox's lock also guards that endpoint's run state, which is what keeps
@@ -10,8 +10,9 @@
 //
 // A pull-mode mailbox may also name a waker Endpoint (set_waker): its
 // consumer polls with try_pop() from that endpoint's turns, and a push wakes
-// the endpoint instead of signalling a sleeping thread.  A P-SMR replica
-// worker reads its learners this way.
+// the endpoint instead of signalling a sleeping thread.  Every replica reads
+// its learners this way: a P-SMR worker its own, an sP-SMR delivery
+// endpoint its single stream's.
 #pragma once
 
 #include <chrono>

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
 #include <thread>
 #include <vector>
 
@@ -249,6 +250,49 @@ TEST(SchedulerBatching, RunLengthOneRestoresSequentialExecution) {
   core.stop();
   for (std::size_t size : svc_ptr->sizes()) EXPECT_EQ(size, 1u);
   EXPECT_EQ(core.service().exec_stats().max_batch, 1u);
+}
+
+// Two workers: command id 2 goes to every group (a serialized command);
+// any other command goes to its client's worker, client % 2.
+class SerialIdCg : public CGFunction {
+ public:
+  [[nodiscard]] multicast::GroupSet groups(const Command& c) const override {
+    return c.cmd == 2 ? multicast::GroupSet::all(2)
+                      : multicast::GroupSet::single(c.client % 2);
+  }
+  [[nodiscard]] std::size_t mpl() const override { return 2; }
+};
+
+TEST(SchedulerBatching, ScheduleNeverWaitsOnASerializedCommand) {
+  transport::Network net;
+  auto svc = std::make_unique<BatchRecordingService>();
+  auto* svc_ptr = svc.get();
+  SchedulerCore core(net, std::move(svc), std::make_shared<SerialIdCg>(), 2,
+                     "test");
+  core.start();
+
+  // Worker 0's first run is held at the gate, so the serialized command
+  // behind it must wait for that run to finish; schedule() must not.
+  svc_ptr->gate_next = true;
+  core.schedule(make_cmd(1, /*client=*/2, 1, {}));
+  svc_ptr->entered.wait();
+  auto feed = std::async(std::launch::async, [&] {
+    core.schedule(make_cmd(2, 4, 1, {}));  // every group: runs alone
+    core.schedule(make_cmd(1, 3, 1, {}));  // worker 1
+    core.schedule(make_cmd(1, 5, 1, {}));  // worker 1
+  });
+  const bool returned =
+      feed.wait_for(std::chrono::seconds(1)) == std::future_status::ready;
+  svc_ptr->release.notify();  // always, so a blocking schedule() finishes
+  feed.wait();
+  EXPECT_TRUE(returned) << "schedule() waited for the gated run";
+  wait_core(core, 4);
+  core.stop();
+
+  // [gated] [serialized alone] [both singletons as one run on worker 1]:
+  // the singletons waited for the serialized command, which waited for
+  // the gated run.
+  EXPECT_EQ(svc_ptr->sizes(), (std::vector<std::size_t>{1, 1, 2}));
 }
 
 // --- SchedulerCore dedup bounding (satellite: bound dedup_) ---------------

@@ -495,5 +495,21 @@ TEST(Executor, PsmrDeploymentThreadsAreThePool) {
             std::max(1u, std::thread::hardware_concurrency()));
 }
 
+TEST(Executor, SpsmrAndNoRepDeploymentThreadsAreThePool) {
+  constexpr std::size_t kMpl = 4;
+  const std::size_t bound =
+      std::max(1u, std::thread::hardware_concurrency()) + 2;
+  for (smr::Mode mode : {smr::Mode::kSpsmr, smr::Mode::kNoRep}) {
+    const std::size_t before = process_threads();
+    ASSERT_GT(before, 0u) << "/proc/self/task unavailable";
+    smr::Deployment d(test_support::kv_config(mode, kMpl));
+    d.start();
+    // The pool and the network's delay pacer: sP-SMR's delivery endpoints,
+    // the no-rep server and every scheduler worker own no thread.
+    EXPECT_LE(process_threads() - before, bound)
+        << (mode == smr::Mode::kSpsmr ? "sP-SMR" : "no-rep");
+  }
+}
+
 }  // namespace
 }  // namespace psmr::transport

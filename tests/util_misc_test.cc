@@ -226,41 +226,5 @@ TEST(Signal, CrossThreadHandshake) {
   peer.join();
 }
 
-TEST(CountdownLatch, ReleasesAllWaiters) {
-  CountdownLatch latch(3);
-  std::atomic<int> released{0};
-  std::vector<std::thread> waiters;
-  for (int i = 0; i < 4; ++i) {
-    waiters.emplace_back([&] {
-      latch.wait();
-      released++;
-    });
-  }
-  latch.count_down();
-  latch.count_down();
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_EQ(released.load(), 0);
-  latch.count_down();
-  for (auto& t : waiters) t.join();
-  EXPECT_EQ(released.load(), 4);
-}
-
-TEST(WaitGroup, WaitsForAll) {
-  WaitGroup wg;
-  std::atomic<int> done{0};
-  wg.add(3);
-  std::vector<std::thread> workers;
-  for (int i = 0; i < 3; ++i) {
-    workers.emplace_back([&] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      done++;
-      wg.done();
-    });
-  }
-  wg.wait();
-  EXPECT_EQ(done.load(), 3);
-  for (auto& t : workers) t.join();
-}
-
 }  // namespace
 }  // namespace psmr::util
