@@ -37,7 +37,11 @@ std::uint64_t decode_key(std::span<const std::uint8_t> params) {
 }
 
 util::Buffer encode_result(KvResult res) {
-  util::Writer w;
+  // Reserved to the exact size: one allocation per result, not one per
+  // vector growth.
+  util::Buffer buf;
+  buf.reserve(1 + 8);
+  util::Writer w(std::move(buf));
   w.u8(res.status);
   w.u64(res.value);
   return w.take();
@@ -52,7 +56,9 @@ KvResult decode_result(const util::Buffer& payload) {
 }
 
 util::Buffer encode_multi_result(const KvMultiResult& res) {
-  util::Writer w;
+  util::Buffer buf;
+  buf.reserve(4 + res.entries.size() * (1 + 8));
+  util::Writer w(std::move(buf));
   w.u32(static_cast<std::uint32_t>(res.entries.size()));
   for (const KvResult& e : res.entries) {
     w.u8(e.status);

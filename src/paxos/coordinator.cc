@@ -85,12 +85,28 @@ void Coordinator::begin_prepare() {
   PSMR_DEBUG("ring " << ring_ << ": prepare ballot " << ballot_);
 }
 
+CoordinatorStats Coordinator::stats() const {
+  const Counters& c = counters_;
+  CoordinatorStats s;
+  s.decided_batches = c.decided_batches.get();
+  s.decided_commands = c.decided_commands.get();
+  s.decided_skips = c.decided_skips.get();
+  s.resends = c.resends.get();
+  s.sealed_batches = c.sealed_batches.get();
+  s.sealed_commands = c.sealed_commands.get();
+  s.sealed_bytes = c.sealed_bytes.get();
+  s.sealed_on_bytes = c.sealed_on_bytes.get();
+  s.sealed_on_count = c.sealed_on_count.get();
+  s.sealed_on_timeout = c.sealed_on_timeout.get();
+  s.sealed_at_once = c.sealed_at_once.get();
+  s.submit_msgs = c.submit_msgs.get();
+  s.submit_commands = c.submit_commands.get();
+  return s;
+}
+
 void Coordinator::on_submit(util::Payload cmd) {
-  {
-    std::lock_guard lock(stats_mu_);
-    ++stats_.submit_msgs;
-    ++stats_.submit_commands;
-  }
+  counters_.submit_msgs.add();
+  counters_.submit_commands.add();
   enqueue(std::move(cmd));
   after_submit();
 }
@@ -106,11 +122,8 @@ void Coordinator::on_submit_many(const util::Payload& payload) {
     PSMR_WARN("coordinator " << name() << ": malformed SUBMIT_MANY");
     return;
   }
-  {
-    std::lock_guard lock(stats_mu_);
-    ++stats_.submit_msgs;
-    stats_.submit_commands += n;
-  }
+  counters_.submit_msgs.add();
+  counters_.submit_commands.add(n);
   after_submit();
 }
 
@@ -147,17 +160,14 @@ void Coordinator::seal_batch(SealReason reason) {
   pending_.clear();
   pending_bytes_ = 0;
   nudge_peers(queue_batch(b, now_slot()));
-  {
-    std::lock_guard lock(stats_mu_);
-    ++stats_.sealed_batches;
-    stats_.sealed_commands += batch_commands;
-    stats_.sealed_bytes += batch_bytes;
-    switch (reason) {
-      case SealReason::kBytes: ++stats_.sealed_on_bytes; break;
-      case SealReason::kCount: ++stats_.sealed_on_count; break;
-      case SealReason::kTimeout: ++stats_.sealed_on_timeout; break;
-      case SealReason::kAtOnce: ++stats_.sealed_at_once; break;
-    }
+  counters_.sealed_batches.add();
+  counters_.sealed_commands.add(batch_commands);
+  counters_.sealed_bytes.add(batch_bytes);
+  switch (reason) {
+    case SealReason::kBytes: counters_.sealed_on_bytes.add(); break;
+    case SealReason::kCount: counters_.sealed_on_count.add(); break;
+    case SealReason::kTimeout: counters_.sealed_on_timeout.add(); break;
+    case SealReason::kAtOnce: counters_.sealed_at_once.add(); break;
   }
 }
 
@@ -335,7 +345,10 @@ void Coordinator::decide(Instance inst) {
   w.u64(inst);
   w.bytes(it->second.value);
   util::Payload payload = w.take();
-  for (auto l : learners_->snapshot()) {
+  if (learner_ids_.size() != learners_->size()) {
+    learner_ids_ = learners_->snapshot();
+  }
+  for (auto l : learner_ids_) {
     send(l, MsgType::kPaxosDecide, payload);
   }
   // Acceptors also learn, to serve catch-up requests.
@@ -343,12 +356,11 @@ void Coordinator::decide(Instance inst) {
     send(a, MsgType::kPaxosDecide, payload);
   }
   if (auto header = Batch::peek(it->second.value.view())) {
-    std::lock_guard lock(stats_mu_);
-    ++stats_.decided_batches;
+    counters_.decided_batches.add();
     if (header->skip) {
-      ++stats_.decided_skips;
+      counters_.decided_skips.add();
     } else {
-      stats_.decided_commands += header->count;
+      counters_.decided_commands.add(header->count);
     }
   }
   in_flight_.erase(it);
@@ -410,8 +422,7 @@ void Coordinator::on_deadline() {
     if (now >= fl.resend_at) {
       fl.backoff = std::min(fl.backoff * 2, cfg_.rto * 8);
       send_accepts(inst);
-      std::lock_guard lock(stats_mu_);
-      ++stats_.resends;
+      counters_.resends.add();
     }
   }
 

@@ -39,25 +39,33 @@
 #include "paxos/types.h"
 #include "transport/endpoint.h"
 #include "util/rng.h"
+#include "util/sync.h"
 
 namespace psmr::paxos {
 
 /// Learner membership shared between the Ring (which registers subscribers)
-/// and coordinators (which multicast DECIDEs to the current snapshot).
+/// and coordinators (which multicast DECIDEs to the current snapshot).  It
+/// only grows, so a coordinator keeps its own copy and refreshes it when
+/// size() changes.
 class LearnerRegistry {
  public:
   void add(transport::NodeId id) {
     std::lock_guard lock(mu_);
     ids_.push_back(id);
+    size_.store(ids_.size(), std::memory_order_release);
   }
   [[nodiscard]] std::vector<transport::NodeId> snapshot() const {
     std::lock_guard lock(mu_);
     return ids_;
   }
+  [[nodiscard]] std::size_t size() const {
+    return size_.load(std::memory_order_acquire);
+  }
 
  private:
   mutable std::mutex mu_;
   std::vector<transport::NodeId> ids_;
+  std::atomic<std::size_t> size_{0};
 };
 
 /// Where a coordinator sends kPaxosCover nudges: the current coordinator of
@@ -136,10 +144,7 @@ class Coordinator : public transport::Endpoint {
               std::uint32_t proposer_index, std::uint64_t start_round);
   ~Coordinator() override { stop(); }
 
-  [[nodiscard]] CoordinatorStats stats() const {
-    std::lock_guard lock(stats_mu_);
-    return stats_;
-  }
+  [[nodiscard]] CoordinatorStats stats() const;
 
   /// Test hook: suppresses all deadline work (batch sealing, retransmits,
   /// fallback skips) for `d` from now, simulating a timer thread starved by
@@ -219,6 +224,8 @@ class Coordinator : public transport::Endpoint {
   const RingConfig cfg_;
   const std::vector<transport::NodeId> acceptors_;
   const std::shared_ptr<LearnerRegistry> learners_;
+  /// This coordinator's copy of learners_, refreshed when it grows.
+  std::vector<transport::NodeId> learner_ids_;
   const std::shared_ptr<const MergePeers> peers_;
   const std::uint32_t proposer_index_;
 
@@ -278,10 +285,15 @@ class Coordinator : public transport::Endpoint {
   std::atomic<Clock::rep> stall_until_ns_{0};
   std::atomic<std::int64_t> clock_skew_us_{0};
 
-  // Written by the coordinator's handlers only; the mutex makes stats()
-  // safe to call from test/bench threads.
-  mutable std::mutex stats_mu_;
-  CoordinatorStats stats_;
+  // CoordinatorStats, written by the coordinator's handlers only and read
+  // by stats() from test/bench threads.
+  struct Counters {
+    util::RelaxedCounter decided_batches, decided_commands, decided_skips,
+        resends, sealed_batches, sealed_commands, sealed_bytes,
+        sealed_on_bytes, sealed_on_count, sealed_on_timeout, sealed_at_once,
+        submit_msgs, submit_commands;
+  };
+  Counters counters_;
 };
 
 }  // namespace psmr::paxos

@@ -55,7 +55,11 @@ std::optional<Decision> LearnerLog::next_until(
 
 std::optional<Decision> LearnerLog::try_next() {
   if (closed_.load(std::memory_order_relaxed)) return std::nullopt;
-  while (auto msg = mailbox_->try_pop()) ingest(std::move(*msg));
+  // One lock for everything queued, not one per message.
+  if (mailbox_->take_all(inbox_) > 0) {
+    for (auto& msg : inbox_) ingest(std::move(msg));
+    inbox_.clear();
+  }
   if (auto d = take_ready()) return d;
   // Stalled delivery, not silence, triggers catch-up: a merged-delivery
   // ring keeps deciding lease skips while its peers run, so a learner stuck

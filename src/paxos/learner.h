@@ -23,6 +23,7 @@
 #include <chrono>
 #include <map>
 #include <optional>
+#include <vector>
 
 #include "paxos/types.h"
 #include "transport/network.h"
@@ -111,6 +112,7 @@ class LearnerLog {
   std::shared_ptr<transport::Mailbox> mailbox_;
 
   std::map<Instance, Batch> buffer_;
+  std::vector<transport::Message> inbox_;  // try_next()'s drained messages
   std::atomic<bool> closed_{false};
   bool has_waker_ = false;  // read with try_next() only
   /// Written only by the consuming thread; atomic so next_instance() can be

@@ -69,17 +69,19 @@ bool Endpoint::mark_runnable() {
 void Endpoint::run() {
   Mailbox& box = *mailbox_;
   bool closed = false;
-  for (std::size_t n = 0; n < kRunBudget; ++n) {
-    std::optional<Message> msg;
-    {
-      std::lock_guard lock(box.mu_);
-      closed = box.closed_;
-      if (closed) break;
-      msg = box.pop_locked();
-    }
-    if (!msg) break;
-    handle(std::move(*msg));
+  {
+    // One lock for the whole batch, not one per message.
+    std::lock_guard lock(box.mu_);
+    closed = box.closed_;
+    if (!closed) box.take_locked(batch_, kRunBudget);
   }
+  for (Message& msg : batch_) {
+    // stop() drops what is still queued, including the rest of the batch.
+    closed = box.closed_.load(std::memory_order_acquire);
+    if (closed) break;
+    handle(std::move(msg));
+  }
+  batch_.clear();
   if (!closed) {
     on_run();
     auto due = next_deadline();

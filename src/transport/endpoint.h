@@ -32,6 +32,7 @@
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "transport/network.h"
 
@@ -100,9 +101,9 @@ class Endpoint {
  private:
   friend class Executor;
 
-  /// One scheduled turn on a pool thread: handles up to kRunBudget queued
-  /// messages, calls on_run(), runs an expired deadline, re-arms the timer,
-  /// and yields if work remains.
+  /// One scheduled turn on a pool thread: takes up to kRunBudget queued
+  /// messages in one locked step and handles them, calls on_run(), runs an
+  /// expired deadline, re-arms the timer, and yields if work remains.
   void run();
   /// A wake or timer expiry: true if the caller must queue this endpoint
   /// (it was idle); false if it is closed, not started, or already
@@ -115,6 +116,13 @@ class Endpoint {
   std::string name_;
   NodeId id_ = kNoNode;
   std::shared_ptr<Mailbox> mailbox_;
+  /// The messages of the current turn; touched only by the running thread.
+  std::vector<Message> batch_;
+
+  /// Index of the pool thread that last ran this endpoint (Executor::kNoThread
+  /// before its first turn).  Written only by that running thread; read by
+  /// off-pool schedule() calls to hand the endpoint back to it.
+  std::atomic<std::uint32_t> last_thread_{Executor::kNoThread};
 
   // Timer state, owned by the Network's executor.  armed_ns_ is the
   // deadline the last run asked for; heap_ns_/heap_seq_ describe this

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
 
 #include "transport/endpoint.h"
 
@@ -9,9 +10,11 @@ namespace psmr::transport {
 
 namespace {
 
-/// The pool thread's executor and local LIFO list (null off the pool).
+/// The pool thread's executor, index and local LIFO list (null off the
+/// pool).
 struct PoolThread {
   Executor* executor = nullptr;
+  std::uint32_t index = 0;
   std::deque<Endpoint*> local;
 };
 thread_local PoolThread* tl_pool = nullptr;
@@ -31,9 +34,12 @@ std::int64_t Executor::now_ns() {
 Executor::Executor() {
   const std::size_t n =
       std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  slots_ = std::make_unique<Slot[]>(n);
+  idle_.reserve(n);
   threads_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    threads_.emplace_back([this] { worker_loop(); });
+    threads_.emplace_back(
+        [this, i] { worker_loop(static_cast<std::uint32_t>(i)); });
   }
 }
 
@@ -41,8 +47,12 @@ Executor::~Executor() {
   {
     std::lock_guard lock(mu_);
     stopping_ = true;
+    for (std::uint32_t i : idle_) {
+      slots_[i].idle = false;
+      slots_[i].cv.notify_one();
+    }
+    idle_.clear();
   }
-  idle_cv_.notify_all();
   timer_cv_.notify_all();
   for (auto& t : threads_) t.join();
 }
@@ -53,12 +63,35 @@ void Executor::schedule(Endpoint* ep) {
     return;
   }
   std::lock_guard lock(mu_);
+  const std::uint32_t last = ep->last_thread_.load(std::memory_order_relaxed);
+  if (last < threads_.size() && slots_[last].idle) {
+    // Sticky wake: the thread that ran `ep` last is asleep, so `ep` goes
+    // straight to it rather than to whichever thread the queue would pick.
+    Slot& slot = slots_[last];
+    slot.idle = false;
+    slot.handoff = ep;
+    std::erase(idle_, last);
+    slot.cv.notify_one();
+    return;
+  }
   ready_.push_back(ep);
-  if (idle_ > 0) {
-    idle_cv_.notify_one();
+  wake_one();
+}
+
+void Executor::wake_one() {
+  if (!idle_.empty()) {
+    Slot& slot = slots_[idle_.back()];
+    idle_.pop_back();
+    slot.idle = false;
+    slot.cv.notify_one();
   } else if (timer_waiter_) {
     timer_cv_.notify_one();
   }
+}
+
+std::size_t Executor::idle_threads() const {
+  std::lock_guard lock(mu_);
+  return idle_.size();
 }
 
 void Executor::yield(Endpoint* ep) { tl_pool->local.push_front(ep); }
@@ -73,11 +106,7 @@ void Executor::spill() {
   local.clear();
   // One wake is enough: a thread that takes shared work while more is
   // queued wakes the next idle one (worker_loop).
-  if (idle_ > 0) {
-    idle_cv_.notify_one();
-  } else if (timer_waiter_) {
-    timer_cv_.notify_one();
-  }
+  wake_one();
 }
 
 void Executor::arm(Endpoint* ep, std::int64_t at_ns) {
@@ -93,8 +122,8 @@ void Executor::arm(Endpoint* ep, std::int64_t at_ns) {
   push_timer(ep, at_ns);
   if (timer_waiter_) {
     if (at_ns < timer_wait_ns_) timer_cv_.notify_one();
-  } else if (idle_ > 0) {
-    idle_cv_.notify_one();  // nobody watches the heap: take the duty
+  } else {
+    wake_one();  // nobody watches the heap: take the duty
   }
 }
 
@@ -138,26 +167,36 @@ void Executor::fire_timers(std::int64_t now) {
   }
 }
 
-void Executor::worker_loop() {
-  PoolThread self{this, {}};
+void Executor::worker_loop(std::uint32_t index) {
+  PoolThread self{this, index, {}};
   tl_pool = &self;
+  Slot& slot = slots_[index];
+  const auto run = [&self](Endpoint* ep) {
+    if (ep->last_thread_.load(std::memory_order_relaxed) != self.index) {
+      ep->last_thread_.store(self.index, std::memory_order_relaxed);
+    }
+    ep->run();
+  };
   std::unique_lock lock(mu_);
   while (true) {
     fire_timers(now_ns());
-    if (!ready_.empty()) {
-      Endpoint* ep = ready_.front();
+    Endpoint* ep = std::exchange(slot.handoff, nullptr);
+    if (ep == nullptr && !ready_.empty()) {
+      ep = ready_.front();
       ready_.pop_front();
+    }
+    if (ep != nullptr) {
       // Leave no shared work or unwatched timer behind while threads idle.
-      if (idle_ > 0 &&
+      if (!idle_.empty() &&
           (!ready_.empty() || (!heap_.empty() && !timer_waiter_))) {
-        idle_cv_.notify_one();
+        wake_one();
       }
       lock.unlock();
-      ep->run();
+      run(ep);
       while (!self.local.empty()) {
         ep = self.local.back();
         self.local.pop_back();
-        ep->run();
+        run(ep);
       }
       lock.lock();
       continue;
@@ -169,9 +208,9 @@ void Executor::worker_loop() {
       timer_cv_.wait_until(lock, at(timer_wait_ns_));
       timer_waiter_ = false;
     } else {
-      ++idle_;
-      idle_cv_.wait(lock);
-      --idle_;
+      slot.idle = true;
+      idle_.push_back(index);
+      slot.cv.wait(lock, [&slot] { return !slot.idle; });
     }
   }
   tl_pool = nullptr;

@@ -2,26 +2,37 @@
 //
 // Two kinds of node own one.  A pull-mode node (a LearnerLog read with
 // next(), a ClientProxy, a test) blocks in pop()/pop_for() on its own
-// thread, like a socket read.  An Endpoint's mailbox is push-mode instead: a push makes the
-// endpoint runnable on its Network's Executor (transport/executor.h) rather
-// than signalling a condition variable, so no thread sleeps on it.  The
-// mailbox's lock also guards that endpoint's run state, which is what keeps
-// one endpoint's handlers on one pool thread at a time.
+// thread, like a socket read.  An Endpoint's mailbox is push-mode instead: a
+// push makes the endpoint runnable on its Network's Executor
+// (transport/executor.h) rather than signalling a condition variable, so no
+// thread sleeps on it.  The mailbox's lock also guards that endpoint's run
+// state, which is what keeps one endpoint's handlers on one pool thread at
+// a time.
 //
 // A pull-mode mailbox may also name a waker Endpoint (set_waker): its
-// consumer polls with try_pop() from that endpoint's turns, and a push wakes
-// the endpoint instead of signalling a sleeping thread.  Every replica reads
-// its learners this way: a P-SMR worker its own, an sP-SMR delivery
-// endpoint its single stream's.
+// consumer polls from that endpoint's turns, and a push wakes the endpoint
+// instead of signalling a sleeping thread.  Every replica reads its
+// learners this way: a P-SMR worker its own, an sP-SMR delivery endpoint
+// its single stream's.
+//
+// Consumers take messages in batches, not one lock per message: an
+// Endpoint's turn moves up to Endpoint::kRunBudget of them out in one
+// locked step, and a LearnerLog drains everything queued with take_all().
+// A message thus pays one lock when pushed and a share of one when taken.
+// The push lock is per mailbox, not process-wide.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
+#include <iterator>
 #include <mutex>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "transport/message.h"
 
@@ -59,10 +70,11 @@ class Mailbox {
     return pop_locked();
   }
 
-  /// Non-blocking pop.
-  std::optional<Message> try_pop() {
+  /// Non-blocking: moves every queued message, oldest first, onto the end
+  /// of `out` in one locked step.  Returns how many it moved.
+  std::size_t take_all(std::vector<Message>& out) {
     std::lock_guard lock(mu_);
-    return pop_locked();
+    return take_locked(out, items_.size());
   }
 
   /// Makes every later push wake `ep` (Endpoint::wake()) instead of
@@ -77,13 +89,12 @@ class Mailbox {
   /// under the lock, so once close() returns no push can reach it again.
   void close() {
     std::lock_guard lock(mu_);
-    closed_ = true;
+    closed_.store(true, std::memory_order_release);
     cv_.notify_all();
   }
 
   [[nodiscard]] bool closed() const {
-    std::lock_guard lock(mu_);
-    return closed_;
+    return closed_.load(std::memory_order_acquire);
   }
   [[nodiscard]] std::size_t size() const {
     std::lock_guard lock(mu_);
@@ -102,6 +113,14 @@ class Mailbox {
     return m;
   }
 
+  std::size_t take_locked(std::vector<Message>& out, std::size_t max) {
+    const std::size_t n = std::min(max, items_.size());
+    const auto end = items_.begin() + static_cast<std::ptrdiff_t>(n);
+    std::move(items_.begin(), end, std::back_inserter(out));
+    items_.erase(items_.begin(), end);
+    return n;
+  }
+
   // Endpoint mode.  `scheduled_` is true from the moment the endpoint is
   // handed to the executor until its run ends with nothing left to do, so
   // at most one pool thread runs it at a time.  `rerun_` records a wake() or
@@ -115,7 +134,9 @@ class Mailbox {
   mutable std::mutex mu_;
   std::condition_variable cv_;  // pull-mode pops; Endpoint::stop() waits
   std::deque<Message> items_;
-  bool closed_ = false;
+  // Written under mu_; atomic so a drained endpoint batch can check it
+  // between handlers without the lock.
+  std::atomic<bool> closed_{false};
 };
 
 }  // namespace psmr::transport

@@ -1,5 +1,7 @@
 #include "transport/network.h"
 
+#include <bit>
+
 #include "util/clock.h"
 
 namespace psmr::transport {
@@ -20,20 +22,40 @@ std::pair<NodeId, std::shared_ptr<Mailbox>> Network::register_node() {
   return register_node(nullptr);
 }
 
+Network::Node& Network::node(std::size_t i) const {
+  const std::size_t j = i + kFirstChunk;
+  const auto k = static_cast<std::size_t>(std::bit_width(j)) -
+                 static_cast<std::size_t>(std::bit_width(kFirstChunk));
+  return chunks_[k][j - (kFirstChunk << k)];
+}
+
 std::pair<NodeId, std::shared_ptr<Mailbox>> Network::register_node(
     Endpoint* owner) {
   auto mailbox = std::make_shared<Mailbox>();
   mailbox->owner_ = owner;
   std::lock_guard lock(mu_);
-  nodes_.push_back(Node{mailbox});
-  return {static_cast<NodeId>(nodes_.size()), std::move(mailbox)};
+  const std::size_t i = count_.load(std::memory_order_relaxed);
+  const std::size_t j = i + kFirstChunk;
+  if (std::has_single_bit(j)) {  // the first node of a new chunk
+    const auto k = static_cast<std::size_t>(std::bit_width(j)) -
+                   static_cast<std::size_t>(std::bit_width(kFirstChunk));
+    chunks_.at(k) = std::make_unique<Node[]>(kFirstChunk << k);
+  }
+  node(i).mailbox = mailbox;
+  count_.store(i + 1, std::memory_order_release);
+  return {static_cast<NodeId>(i + 1), std::move(mailbox)};
 }
 
 Mailbox* Network::route(NodeId from, NodeId to) const {
-  std::lock_guard lock(mu_);
-  if (from - 1 < nodes_.size() && !nodes_[from - 1].connected) return nullptr;
-  if (to - 1 >= nodes_.size() || !nodes_[to - 1].connected) return nullptr;
-  return nodes_[to - 1].mailbox.get();
+  const std::size_t n = count_.load(std::memory_order_acquire);
+  if (from - 1 < n &&
+      !node(from - 1).connected.load(std::memory_order_relaxed)) {
+    return nullptr;
+  }
+  if (to - 1 >= n) return nullptr;
+  const Node& dst = node(to - 1);
+  if (!dst.connected.load(std::memory_order_relaxed)) return nullptr;
+  return dst.mailbox.get();
 }
 
 bool Network::send(Message msg) {
@@ -75,14 +97,17 @@ void Network::disconnect(NodeId node) { set_connected(node, false); }
 
 void Network::reconnect(NodeId node) { set_connected(node, true); }
 
-void Network::set_connected(NodeId node, bool connected) {
+void Network::set_connected(NodeId id, bool connected) {
   std::lock_guard lock(mu_);
-  if (node - 1 < nodes_.size()) nodes_[node - 1].connected = connected;
+  if (id - 1 < count_.load(std::memory_order_relaxed)) {
+    node(id - 1).connected.store(connected, std::memory_order_relaxed);
+  }
 }
 
-bool Network::connected(NodeId node) const {
-  std::lock_guard lock(mu_);
-  return node - 1 >= nodes_.size() || nodes_[node - 1].connected;
+bool Network::connected(NodeId id) const {
+  const std::size_t n = count_.load(std::memory_order_acquire);
+  return id - 1 >= n ||
+         node(id - 1).connected.load(std::memory_order_relaxed);
 }
 
 void Network::set_drop_probability(double p) { drop_probability_ = p; }
@@ -99,8 +124,9 @@ void Network::shutdown() {
   {
     std::lock_guard lock(mu_);
     if (shutdown_.exchange(true)) return;
-    boxes.reserve(nodes_.size());
-    for (auto& node : nodes_) boxes.push_back(node.mailbox);
+    const std::size_t n = count_.load(std::memory_order_relaxed);
+    boxes.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) boxes.push_back(node(i).mailbox);
   }
   for (auto& box : boxes) box->close();
   delay_cv_.notify_all();

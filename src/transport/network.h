@@ -4,12 +4,16 @@
 // switches, two NICs per node).  Every logical process registers a Node and
 // receives messages through a mailbox; send() is asynchronous and FIFO per
 // sender→receiver pair, like TCP.  The network also owns the executor that
-// runs every Endpoint registered on it (transport/executor.h).  For protocol
+// runs every Endpoint registered on it (transport/executor.h).  A send takes
+// no network-wide lock: nodes are never unregistered, so route() reads an
+// append-only node table whose chunks never move, and only registration,
+// connect/disconnect and shutdown take the network's mutex.  For protocol
 // testing the network can drop messages probabilistically, disconnect nodes
 // (crash simulation), and delay delivery through a timer wheel — Paxos must
 // stay safe under all of these, and the tests exercise exactly that.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -85,24 +89,32 @@ class Network {
   friend class Endpoint;
 
   struct Node {
-    std::shared_ptr<Mailbox> mailbox;
-    bool connected = true;
+    std::shared_ptr<Mailbox> mailbox;  // set before the node is published
+    std::atomic<bool> connected{true};
   };
 
   /// register_node() for an Endpoint: pushes to the mailbox schedule
   /// `owner` on the executor.
   std::pair<NodeId, std::shared_ptr<Mailbox>> register_node(Endpoint* owner);
   /// The destination's mailbox if `to` is registered and connected (and
-  /// `from`, when registered, is connected too); one lock acquisition.
-  /// Nodes are never unregistered, so the pointer lives as long as the
-  /// network.
+  /// `from`, when registered, is connected too).  Takes no lock: nodes are
+  /// never unregistered, so the node table only grows, a node never moves,
+  /// and the pointer lives as long as the network.
   Mailbox* route(NodeId from, NodeId to) const;
-  void set_connected(NodeId node, bool connected);
+  /// Node index `i` (NodeId i + 1).  Chunk k holds 64 << k nodes, so the
+  /// table grows without moving a node.
+  [[nodiscard]] Node& node(std::size_t i) const;
+  void set_connected(NodeId id, bool connected);
   void pacer_loop();
   bool deliver(Message&& msg);
 
+  // The node table.  register_node() fills a node under mu_ and then
+  // publishes it by bumping count_ with release order; route() reads
+  // count_ with acquire and the nodes below it without a lock.
+  static constexpr std::size_t kFirstChunk = 64;
   mutable std::mutex mu_;
-  std::vector<Node> nodes_;  // NodeId n lives at nodes_[n - 1]
+  std::array<std::unique_ptr<Node[]>, 32> chunks_;
+  std::atomic<std::size_t> count_{0};
 
   std::atomic<double> drop_probability_{0.0};
   std::atomic<std::int64_t> delay_us_{0};

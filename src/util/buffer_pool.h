@@ -24,6 +24,16 @@
 //     pooled block so the hot path never touches the global heap once the
 //     pool is warm.
 //
+// Per-thread magazines (Bonwick and Adams, "Magazines and Vmem", USENIX ATC
+// 2001) sit in front of the shared free lists: every thread that touches a
+// pool gets a small LIFO cache per size class, and acquire() and the last
+// release() use it without a lock.  The pool's mutex is taken only to
+// refill an empty magazine or spill a full one, half a magazine at a time,
+// so a message's blocks cross no process-wide lock on the hot path.  A
+// thread's magazines go back to the shared lists when the thread exits, and
+// a pool frees the magazines of live threads when it is destroyed.  The
+// counters behind stats() are per thread too, summed on read.
+//
 // Wire formats are unchanged: PayloadWriter emits exactly the little-endian
 // encoding of util::Writer.
 #pragma once
@@ -44,18 +54,21 @@ namespace psmr::util {
 class BufferPool;
 
 /// Pool counters, readable while the pool runs.  `outstanding` is the
-/// number of live blocks (acquired and not yet fully released); everything
-/// else is cumulative.
+/// number of live blocks (acquired and not yet fully released), exact
+/// whichever threads acquired and released them; everything else is
+/// cumulative.
 struct PoolStats {
-  std::uint64_t hits = 0;      ///< acquire() served from a free list
+  std::uint64_t hits = 0;      ///< acquire() served from a magazine or list
   std::uint64_t misses = 0;    ///< acquire() heap-allocated (cold class)
   std::uint64_t oversize = 0;  ///< acquire() larger than the largest class
-  std::uint64_t recycled = 0;  ///< blocks returned to a free list
+  std::uint64_t recycled = 0;  ///< releases kept in a magazine or free list
   std::uint64_t dropped = 0;   ///< blocks freed because the list was full
   std::int64_t outstanding = 0;
 };
 
 namespace detail {
+
+struct Magazine;
 
 /// Intrusive block header, co-allocated immediately before the data bytes.
 /// sizeof == 16, so data starts 16-aligned.
@@ -136,12 +149,13 @@ class PooledBuf {
 
 /// Thread-safe, size-classed pool of ref-counted byte blocks.
 ///
-/// Free lists are bounded (`max_free_per_class` blocks retained per class);
-/// beyond that, released blocks go back to the heap, and requests larger
-/// than the largest class always heap-allocate (`oversize`) and free on
-/// release.  The pool must outlive every block it handed out; the process
-/// -wide global() pool is intentionally never destroyed so handles in
-/// static-storage objects stay safe during shutdown.
+/// Shared free lists are bounded (`max_free_per_class` blocks retained per
+/// class); beyond that, released blocks go back to the heap, and requests
+/// larger than the largest class always heap-allocate (`oversize`) and free
+/// on release.  Each thread's magazine holds at most kMagazineSlots more
+/// per class.  The pool must outlive every block it handed out; the
+/// process-wide global() pool is intentionally never destroyed so handles
+/// in static-storage objects stay safe during shutdown.
 class BufferPool {
  public:
   struct Options {
@@ -160,8 +174,16 @@ class BufferPool {
   static constexpr std::size_t kNumClasses =
       sizeof(kClasses) / sizeof(kClasses[0]);
 
+  /// Blocks of one class a thread's magazine holds at most: 128 KiB worth,
+  /// clamped to [4, kMagazineSlots], and never more than a quarter of
+  /// `max_free_per_class` (so a pool bounded to fewer than 4 free blocks
+  /// per class keeps no magazine and every release meets the shared list).
+  static constexpr std::size_t kMagazineSlots = 32;
+
   BufferPool();
   explicit BufferPool(Options opt);
+  /// Frees the shared free lists and every live thread's magazine.  No
+  /// thread may use the pool concurrently.
   ~BufferPool();
 
   BufferPool(const BufferPool&) = delete;
@@ -174,8 +196,9 @@ class BufferPool {
 
   [[nodiscard]] PoolStats stats() const;
 
-  /// Frees every retained free-list block (outstanding blocks are
-  /// untouched).  Test hook for exhaustion / leak accounting.
+  /// Frees every block retained in the shared free lists and in the calling
+  /// thread's magazine (outstanding blocks, and other threads' magazines,
+  /// are untouched).  Test hook for exhaustion / leak accounting.
   void trim();
 
   /// The process-wide default pool (never destroyed).
@@ -183,6 +206,7 @@ class BufferPool {
 
  private:
   friend class PooledBuf;
+  friend struct detail::Magazine;
 
   /// Index of the smallest class >= n, or kNumClasses when oversize.
   static std::size_t class_for(std::size_t n);
@@ -191,15 +215,33 @@ class BufferPool {
 
   void release_block(detail::BlockHeader* hdr);
 
+  /// The calling thread's magazine for this pool, created on first use;
+  /// nullptr once the thread's magazines are gone (static and thread_local
+  /// destructors running at thread exit), which then uses the shared lists.
+  detail::Magazine* magazine();
+  detail::Magazine* attach();
+  /// The calling thread's magazine for this pool, if it has one.
+  [[nodiscard]] detail::Magazine* find_magazine() const;
+  /// A magazine's thread exits: its blocks join the shared lists (what they
+  /// cannot hold is freed) and its counters fold into shared_counts_.
+  void detach(detail::Magazine* m);
+  /// Keeps `hdr` in class `c`'s shared list, or frees it (false) when the
+  /// list is full.  Caller holds mu_.
+  bool put_shared_locked(std::size_t c, detail::BlockHeader* hdr);
+  /// Adds `n` to counter `k` of `m`, or of shared_counts_ (caller holds
+  /// mu_) when the thread has no magazine.
+  void tally(detail::Magazine* m, std::size_t k, std::uint64_t n = 1);
+
   const Options opt_;
+  const std::uint64_t id_;  // never reused: tags this pool's magazines
+  std::size_t mag_cap_[kNumClasses];  // per class, see kMagazineSlots
   mutable std::mutex mu_;
   std::vector<detail::BlockHeader*> free_[kNumClasses];
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t oversize_ = 0;
-  std::uint64_t recycled_ = 0;
-  std::uint64_t dropped_ = 0;
-  std::atomic<std::int64_t> outstanding_{0};
+  std::vector<detail::Magazine*> mags_;  // live threads' magazines
+  // Counts of exited threads and of threads without a magazine, indexed
+  // like detail::Magazine::counts.
+  static constexpr std::size_t kCounters = 6;
+  std::uint64_t shared_counts_[kCounters] = {};
 };
 
 /// The value type transport::Message carries: a read-only byte view plus a

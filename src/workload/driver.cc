@@ -120,9 +120,16 @@ void client_loop(smr::Deployment& deployment, const KvWorkloadSpec& spec,
       return -mean_gap_us * std::log(u < 1e-12 ? 1e-12 : u);
     };
     double next_due_us = static_cast<double>(util::now_us()) + next_gap_us();
+    // A client slower than its own schedule (an arrival costs more than the
+    // gap, as under a sanitizer at Mcps rates) would never leave the
+    // catch-up loop: it would never poll, so its spooled submits would
+    // never flush and no completion would ever be collected.  A pass ends
+    // after kMaxPassUs.
+    constexpr std::int64_t kMaxPassUs = 1000;
     while (!stop.load(std::memory_order_relaxed)) {
       std::int64_t now = util::now_us();
-      while (static_cast<double>(now) >= next_due_us &&
+      const std::int64_t pass_end = now + kMaxPassUs;
+      while (static_cast<double>(now) >= next_due_us && now < pass_end &&
              !stop.load(std::memory_order_relaxed)) {
         attempt(proxy->outstanding() <
                 static_cast<std::size_t>(spec.max_outstanding));

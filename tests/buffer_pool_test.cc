@@ -14,7 +14,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <memory>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 #include "multicast/amcast.h"
@@ -115,6 +119,84 @@ TEST(BufferPool, TrimFreesRetainedBlocks) {
   PooledBuf b = pool.acquire(64);
   EXPECT_EQ(pool.stats().misses, 2u);
   EXPECT_EQ(pool.stats().hits, 0u);
+}
+
+/// A two-step handshake between a test and one helper thread.
+struct Handshake {
+  std::mutex mu;
+  std::condition_variable cv;
+  int step = 0;
+
+  void advance_to(int s) {
+    std::lock_guard lock(mu);
+    step = s;
+    cv.notify_all();
+  }
+  void wait_for(int s) {
+    std::unique_lock lock(mu);
+    cv.wait(lock, [&] { return step >= s; });
+  }
+};
+
+TEST(BufferPool, OutstandingIsExactAcrossThreadsAndExits) {
+  // Blocks acquired here and released on another thread are counted once
+  // each way while that thread still caches them in its magazine; once it
+  // exits, its cached blocks are back in the shared lists, so acquiring
+  // them here hits without a heap allocation.
+  constexpr int kBlocks = 10;
+  BufferPool pool;
+  std::vector<PooledBuf> held;
+  for (int i = 0; i < kBlocks; ++i) held.push_back(pool.acquire(64));
+  EXPECT_EQ(pool.stats().outstanding, kBlocks);
+  EXPECT_EQ(pool.stats().misses, static_cast<std::uint64_t>(kBlocks));
+
+  Handshake hs;
+  std::thread other([&] {
+    held.clear();  // the last references: into this thread's magazine
+    hs.advance_to(1);
+    hs.wait_for(2);
+  });
+  hs.wait_for(1);
+  PoolStats s = pool.stats();
+  EXPECT_EQ(s.outstanding, 0) << "released on a live thread";
+  EXPECT_EQ(s.recycled, static_cast<std::uint64_t>(kBlocks));
+  hs.advance_to(2);
+  other.join();
+
+  const PoolStats before = pool.stats();
+  EXPECT_EQ(before.outstanding, 0) << "after the releasing thread exited";
+  for (int i = 0; i < kBlocks; ++i) held.push_back(pool.acquire(64));
+  const PoolStats after = pool.stats();
+  EXPECT_EQ(after.hits - before.hits, static_cast<std::uint64_t>(kBlocks))
+      << "the exited thread's cached blocks did not reach the shared list";
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.outstanding, kBlocks);
+  held.clear();
+  EXPECT_EQ(pool.stats().outstanding, 0);
+}
+
+TEST(BufferPool, DestroyedPoolTakesBackLiveThreadsCaches) {
+  // A thread that outlives a private pool keeps none of its blocks: the
+  // pool frees the thread's magazine when destroyed, and the thread goes on
+  // to use another pool and exits cleanly (ASan flags a leak or a
+  // use-after-free if either side gets this wrong).
+  auto pool = std::make_unique<BufferPool>();
+  PooledBuf block = pool->acquire(64);
+  Handshake hs;
+  std::thread other([&] {
+    block.reset();  // cached in this thread's magazine for `pool`
+    hs.advance_to(1);
+    hs.wait_for(2);
+    BufferPool next;
+    { PooledBuf b = next.acquire(64); }
+    EXPECT_EQ(next.stats().recycled, 1u);
+    EXPECT_EQ(next.stats().outstanding, 0);
+  });
+  hs.wait_for(1);
+  EXPECT_EQ(pool->stats().outstanding, 0);
+  pool.reset();
+  hs.advance_to(2);
+  other.join();
 }
 
 // ---------------------------------------------------------------------------

@@ -124,6 +124,67 @@ TEST(Network, StatsCountBytes) {
   EXPECT_EQ(net.stats().messages_sent, 2u);
 }
 
+TEST(Network, RouteRacesRegistrationAndDisconnect) {
+  // route() takes no lock: sends race a thread growing the node table
+  // across several chunk boundaries and another toggling one node's
+  // connection.  Every send to a steady node or to the newest registered
+  // node arrives, and a send to the toggled node arrives iff it returned
+  // true.
+  constexpr int kNodes = 1500;  // the table's chunks start at 64, 192, 448
+  constexpr int kSenders = 2;
+  constexpr int kMinSends = 2000;
+  Network net;
+  auto [steady, steady_box] = net.register_node();
+  auto [flaky, flaky_box] = net.register_node();
+  // Written by the registrar, read after it is joined.
+  std::vector<std::shared_ptr<Mailbox>> grown;
+  std::atomic<NodeId> newest{kNoNode};
+  std::atomic<bool> grown_all{false};
+  std::atomic<bool> senders_done{false};
+
+  std::thread registrar([&] {
+    for (int i = 0; i < kNodes; ++i) {
+      auto [id, box] = net.register_node();
+      grown.push_back(std::move(box));
+      newest.store(id, std::memory_order_release);
+    }
+    grown_all = true;
+  });
+  std::thread toggler([&] {
+    while (!senders_done.load()) {
+      net.disconnect(flaky);
+      net.reconnect(flaky);
+    }
+  });
+  std::atomic<std::size_t> to_steady{0}, to_flaky{0}, to_newest{0};
+  test_support::run_threads(kSenders, [&](int) {
+    auto [me, box] = net.register_node();
+    std::size_t steady_n = 0, flaky_n = 0, newest_n = 0;
+    for (int i = 0; i < kMinSends || !grown_all.load(); ++i) {
+      ASSERT_TRUE(net.send(me, steady, 1, {}));
+      ++steady_n;
+      if (net.send(me, flaky, 1, {})) ++flaky_n;
+      const NodeId n = newest.load(std::memory_order_acquire);
+      if (n != kNoNode) {
+        ASSERT_TRUE(net.send(me, n, 1, {})) << "node " << n;
+        ++newest_n;
+      }
+    }
+    to_steady += steady_n;
+    to_flaky += flaky_n;
+    to_newest += newest_n;
+  });
+  senders_done = true;
+  registrar.join();
+  toggler.join();
+  EXPECT_EQ(steady_box->size(), to_steady.load());
+  EXPECT_EQ(flaky_box->size(), to_flaky.load());
+  std::size_t at_grown = 0;
+  for (const auto& box : grown) at_grown += box->size();
+  EXPECT_EQ(at_grown, to_newest.load());
+  EXPECT_TRUE(net.connected(flaky));
+}
+
 // --- Endpoint actor ---
 
 class EchoEndpoint : public Endpoint {
@@ -508,6 +569,138 @@ TEST(Executor, SpsmrAndNoRepDeploymentThreadsAreThePool) {
     // the no-rep server and every scheduler worker own no thread.
     EXPECT_LE(process_threads() - before, bound)
         << (mode == smr::Mode::kSpsmr ? "sP-SMR" : "no-rep");
+  }
+}
+
+/// Records the thread each handler ran on.
+class WhereEndpoint : public Endpoint {
+ public:
+  explicit WhereEndpoint(Network& net) : Endpoint(net, "where") {}
+  ~WhereEndpoint() override { stop(); }
+  std::atomic<int> handled{0};
+
+  std::vector<std::thread::id> ran_on() {
+    std::lock_guard lock(mu_);
+    return ran_on_;
+  }
+
+ protected:
+  void handle(Message) override {
+    {
+      std::lock_guard lock(mu_);
+      ran_on_.push_back(std::this_thread::get_id());
+    }
+    handled++;
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<std::thread::id> ran_on_;
+};
+
+/// Waits until `pred` holds or `limit` passes; returns pred().
+template <typename Pred>
+bool eventually(Pred pred, std::chrono::milliseconds limit) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  while (!pred() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  return pred();
+}
+
+TEST(Executor, OffPoolWakeRunsOnTheThreadThatRanItLast) {
+  // Sticky wakes: on an otherwise idle pool with no deadline armed, a send
+  // from off the pool hands the endpoint back to the thread of its last
+  // turn, wake after wake, rather than to whichever thread wakes first.
+  constexpr int kWakes = 40;
+  Network net;
+  Executor& ex = net.executor();
+  if (ex.threads() < 2) {
+    GTEST_SKIP() << "a one-thread pool has only one thread to pick";
+  }
+  WhereEndpoint ep(net);
+  auto [me, box] = net.register_node();
+  ep.start();  // its first turn (no messages) picks the thread
+  for (int i = 0; i < kWakes; ++i) {
+    ASSERT_TRUE(eventually([&] { return ex.idle_threads() == ex.threads(); },
+                           std::chrono::seconds(5)))
+        << "pool never went quiet before wake " << i;
+    ASSERT_TRUE(net.send(me, ep.id(), 1, {}));
+    ASSERT_TRUE(eventually([&] { return ep.handled.load() == i + 1; },
+                           std::chrono::seconds(5)))
+        << "wake " << i << " not handled";
+  }
+  ep.stop();
+  const auto ran_on = ep.ran_on();
+  ASSERT_EQ(ran_on.size(), static_cast<std::size_t>(kWakes));
+  for (int i = 0; i < kWakes; ++i) {
+    EXPECT_EQ(ran_on[static_cast<std::size_t>(i)], ran_on.front())
+        << "wake " << i << " moved to another pool thread";
+  }
+}
+
+/// Counts messages per sender and flags any out of FIFO order.
+class SequenceEndpoint : public Endpoint {
+ public:
+  SequenceEndpoint(Network& net, std::size_t senders)
+      : Endpoint(net, "sequence"), next_(senders, 0) {}
+  ~SequenceEndpoint() override { stop(); }
+  std::atomic<int> handled{0};
+  std::atomic<int> out_of_order{0};
+
+ protected:
+  void handle(Message msg) override {
+    util::Reader r(msg.payload);
+    const std::uint32_t sender = r.u32();
+    if (r.u32() != next_[sender]++) out_of_order++;
+    handled++;
+  }
+
+ private:
+  std::vector<std::uint32_t> next_;
+};
+
+TEST(Executor, OffPoolWakesAreNeverLost) {
+  // Several non-pool threads push to many endpoints, pausing now and then
+  // so the pool threads go idle and are woken (by handoff or through the
+  // shared queue) again and again.  Every message is handled exactly once,
+  // in order, and every stop() returns.
+  constexpr std::size_t kEndpoints = 32;
+  constexpr int kSenders = 4;
+  constexpr std::uint32_t kPerPair = 200;
+  const std::uint64_t seed = test_support::logged_seed(77);
+  Network net;
+  std::vector<std::unique_ptr<SequenceEndpoint>> eps;
+  for (std::size_t e = 0; e < kEndpoints; ++e) {
+    eps.push_back(std::make_unique<SequenceEndpoint>(net, kSenders));
+    eps.back()->start();
+  }
+  test_support::run_threads(kSenders, [&](int s) {
+    auto [me, box] = net.register_node();
+    util::SplitMix64 rng(seed + static_cast<std::uint64_t>(s));
+    for (std::uint32_t i = 0; i < kPerPair; ++i) {
+      for (std::size_t e = 0; e < kEndpoints; ++e) {
+        util::Writer w;
+        w.u32(static_cast<std::uint32_t>(s));
+        w.u32(i);
+        ASSERT_TRUE(net.send(me, eps[e]->id(), 1, w.take()));
+        if (rng.chance(0.02)) {
+          std::this_thread::sleep_for(
+              std::chrono::microseconds(rng.next_below(300)));
+        }
+      }
+    }
+  });
+  const int expected = kSenders * static_cast<int>(kPerPair);
+  for (std::size_t e = 0; e < kEndpoints; ++e) {
+    EXPECT_TRUE(eventually([&] { return eps[e]->handled.load() >= expected; },
+                           std::chrono::seconds(30)))
+        << "endpoint " << e << " handled " << eps[e]->handled.load();
+  }
+  for (auto& ep : eps) ep->stop();
+  for (std::size_t e = 0; e < kEndpoints; ++e) {
+    EXPECT_EQ(eps[e]->handled.load(), expected) << "endpoint " << e;
+    EXPECT_EQ(eps[e]->out_of_order.load(), 0) << "endpoint " << e;
   }
 }
 
