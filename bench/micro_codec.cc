@@ -1,9 +1,12 @@
 // Micro-benchmarks for the message codec path, in two parts:
 //
-//  1. LZ codec timing — validates the compression-cost asymmetry the
-//     simulator's NetFS calibration assumes (compressing a 1 KB response
-//     costs ~3x decompressing one; the paper uses this to explain Figure
-//     8's read-vs-write latency difference).
+//  1. Byte-kernel timing on 1 KB blocks: LZ compress and decompress, the
+//     bounded prefix decode NetFS's C-G key uses, and the CRC32 every
+//     multicast batch carries.  The printed compress_vs_decompress ratio is
+//     the live codec's cost asymmetry; it must stay above 1, since the paper
+//     explains Figure 8's read-vs-write latency difference by compression
+//     being the slower side.  (The simulator's NetFS constants in
+//     sim/calibration.h are model inputs, not this measurement.)
 //
 //  2. Allocation metering for the zero-copy buffer pool — the acceptance
 //     measurement of the pooled-message-buffer PR.  Two legs push the same
@@ -241,14 +244,20 @@ void run_codec_bench(const Options& opt, std::FILE* json) {
       iters / 10, [&] { sink += util::lz_compress(p64k).size(); });
   double compress_rnd = time_ns_per_op(
       iters, [&] { sink += util::lz_compress(rnd1k).size(); });
+  // The NetFS key function's decode: the first 256 bytes of a 1 KB block.
+  double prefix_1k = time_ns_per_op(
+      iters, [&] { sink += util::lz_decompress_prefix(c1k, 256)->size(); });
+  double crc_1k = time_ns_per_op(iters * 10,
+                                 [&] { sink += util::Crc32::of(p1k); });
   volatile std::size_t keep = sink;  // keep the timed work observable
   (void)keep;
 
   std::printf("codec: compress1K %.0fns  decompress1K %.0fns (%.2fx)  "
-              "compress64K %.0fns  incompressible1K %.0fns\n",
+              "compress64K %.0fns  incompressible1K %.0fns  "
+              "prefix256of1K %.0fns  crc32_1K %.0fns\n",
               compress_1k, decompress_1k,
               decompress_1k > 0 ? compress_1k / decompress_1k : 0,
-              compress_64k, compress_rnd);
+              compress_64k, compress_rnd, prefix_1k, crc_1k);
   if (json == nullptr) return;
   std::fprintf(json, "  \"codec\": {\n");
   std::fprintf(json, "    \"compress_1k_ns\": %.1f,\n", compress_1k);
@@ -256,8 +265,11 @@ void run_codec_bench(const Options& opt, std::FILE* json) {
   std::fprintf(json, "    \"compress_vs_decompress\": %.2f,\n",
                decompress_1k > 0 ? compress_1k / decompress_1k : 0.0);
   std::fprintf(json, "    \"compress_64k_ns\": %.1f,\n", compress_64k);
-  std::fprintf(json, "    \"compress_incompressible_1k_ns\": %.1f\n",
+  std::fprintf(json, "    \"compress_incompressible_1k_ns\": %.1f,\n",
                compress_rnd);
+  std::fprintf(json, "    \"decompress_prefix_256_of_1k_ns\": %.1f,\n",
+               prefix_1k);
+  std::fprintf(json, "    \"crc32_1k_ns\": %.1f\n", crc_1k);
   std::fprintf(json, "  }\n");
 }
 

@@ -4,6 +4,18 @@
 
 namespace psmr::netfs {
 
+namespace {
+
+// Plaintext bytes fs_key_fn decodes: the path's u32 length and up to 252
+// bytes of path.  A longer path costs a full decode.
+constexpr std::size_t kKeyPrefix = 256;
+
+// Every result but read's and readdir's fits in this many bytes (lstat's,
+// the largest, is 45).
+constexpr std::size_t kFixedResultBytes = 48;
+
+}  // namespace
+
 util::Buffer encode_path_mode(const std::string& path, std::uint32_t mode) {
   util::Writer w;
   w.str(path);
@@ -108,6 +120,8 @@ FsResult decode_result(smr::CommandId cmd, const util::Buffer& payload) {
 
 util::Buffer FsService::execute(const smr::Command& cmd) {
   util::Writer out;
+  // Read reserves its exact size once its data length is known.
+  if (cmd.cmd != kFsRead) out.reserve(kFixedResultBytes);
   auto plain = unpack_params(cmd.params);
   if (!plain) {
     out.i64(-EIO);
@@ -183,7 +197,9 @@ util::Buffer FsService::execute(const smr::Command& cmd) {
       std::uint64_t offset = r.u64();
       std::uint32_t size = r.u32();
       util::Buffer data;
-      out.i64(fs_.read(path, offset, size, data));
+      const int err = fs_.read(path, offset, size, data);
+      out.reserve(8 + 4 + data.size());
+      out.i64(err);
       out.bytes(data);
       break;
     }
@@ -233,7 +249,11 @@ smr::KeyFn fs_key_fn() {
       case kFsRead:
       case kFsWrite:
       case kFsReaddir: {
-        auto plain = unpack_params(cmd.params);
+        auto plain = util::lz_decompress_prefix(cmd.params, kKeyPrefix);
+        if (plain && plain->size() == kKeyPrefix &&
+            util::Reader(*plain).u32() > kKeyPrefix - 4) {
+          plain = unpack_params(cmd.params);  // the path runs past the prefix
+        }
         if (!plain) return std::nullopt;
         util::Reader r(*plain);
         return path_key(normalize_path(r.str()));

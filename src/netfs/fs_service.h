@@ -103,8 +103,16 @@ class FsService : public smr::SequentialService {
 smr::CDep fs_cdep();
 
 /// Conflict key: normalized-path hash for per-path commands, nullopt for
-/// structural ones.  Decompresses the parameter block to reach the path —
-/// the cost a central scheduler pays in sP-SMR.
+/// structural ones.  Decompresses the leading bytes of the parameter block
+/// to reach the path — the cost a central scheduler pays in sP-SMR — and
+/// decodes the whole block only when the path runs past that prefix.
+///
+/// For every block that decompresses, the key is that of its path.  A
+/// malformed block yields nullopt (the spread group) if the damage lies in
+/// or before the path; damage only after the path still yields the path's
+/// key.  Routing stays deterministic either way, since clients and every
+/// replica run this same function, and execute() answers such a block
+/// with -EIO.
 smr::KeyFn fs_key_fn();
 
 /// Path-partitioned C-G: per-path commands → group(path); structural

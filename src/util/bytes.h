@@ -57,6 +57,9 @@ class Writer {
     buf_.insert(buf_.end(), data.begin(), data.end());
   }
 
+  /// Makes room for `extra` more bytes, so appending them never reallocates.
+  void reserve(std::size_t extra) { buf_.reserve(buf_.size() + extra); }
+
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
   [[nodiscard]] const Buffer& view() const { return buf_; }
   /// Moves the accumulated bytes out; the Writer is empty afterwards.

@@ -1,7 +1,12 @@
 #include "util/compress.h"
 
-#include <array>
+#include <algorithm>
+#include <bit>
 #include <cstring>
+#include <limits>
+#include <memory>
+#include <utility>
+#include <vector>
 
 namespace psmr::util {
 namespace {
@@ -9,6 +14,14 @@ namespace {
 constexpr std::size_t kMinMatch = 4;
 constexpr std::size_t kMaxOffset = 65535;
 constexpr int kHashBits = 14;
+constexpr std::size_t kTableSlots = std::size_t{1} << kHashBits;
+// Inputs up to this size fit a position in the low 16 bits of a tagged slot.
+constexpr std::size_t kTaggedMaxInput = std::size_t{1} << 16;
+// No stream byte decodes to more than this many output bytes: a literal
+// byte yields one, a 3-byte match header at most 19, and a length-extension
+// byte at most 255.  A block never decodes to more than this times its
+// stream size.
+constexpr std::size_t kMaxExpansion = 255;
 
 std::uint32_t load32(const std::uint8_t* p) {
   std::uint32_t v;
@@ -16,8 +29,37 @@ std::uint32_t load32(const std::uint8_t* p) {
   return v;
 }
 
+std::uint64_t load64(const std::uint8_t* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
 std::uint32_t hash4(std::uint32_t v) {
   return (v * 2654435761u) >> (32 - kHashBits);
+}
+
+/// Number of equal leading bytes (in memory order) given a non-zero XOR of
+/// two native-endian 8-byte loads.
+unsigned equal_prefix_bytes(std::uint64_t diff) {
+  if constexpr (std::endian::native == std::endian::little) {
+    return static_cast<unsigned>(std::countr_zero(diff)) / 8;
+  } else {
+    return static_cast<unsigned>(std::countl_zero(diff)) / 8;
+  }
+}
+
+/// Extends a match of `len` equal bytes at `a` and `b` while they stay
+/// equal, up to `max`; compares eight bytes per step while they last.
+std::size_t extend_match(const std::uint8_t* a, const std::uint8_t* b,
+                         std::size_t len, std::size_t max) {
+  while (len + 8 <= max) {
+    const std::uint64_t diff = load64(a + len) ^ load64(b + len);
+    if (diff != 0) return len + equal_prefix_bytes(diff);
+    len += 8;
+  }
+  while (len < max && a[len] == b[len]) ++len;
+  return len;
 }
 
 void put_length(Buffer& out, std::size_t len) {
@@ -29,22 +71,64 @@ void put_length(Buffer& out, std::size_t len) {
   out.push_back(static_cast<std::uint8_t>(len));
 }
 
-}  // namespace
-
-Buffer lz_compress(std::span<const std::uint8_t> input) {
-  Buffer out;
-  out.reserve(input.size() / 2 + 16);
-  // Header: raw size, little endian.
-  std::uint32_t raw = static_cast<std::uint32_t>(input.size());
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(raw >> (8 * i)));
+/// Match table for inputs of at most 64 KiB, owned by one thread and reused
+/// by every call on it.  A slot holds (epoch << 16 | position); a slot
+/// tagged with another call's epoch reads as empty, so a call never clears
+/// the table — only the epoch's wrap, once per 65535 calls, does.
+class TaggedTable {
+ public:
+  /// The calling thread's table, advanced to a fresh epoch.
+  static TaggedTable& begin_call() {
+    thread_local TaggedTable table;
+    if (++table.epoch_ == 0) {  // wrapped: old tags would read as current
+      std::fill_n(table.slots_.get(), kTableSlots, 0u);
+      table.epoch_ = 1;
+    }
+    table.tag_ = static_cast<std::uint32_t>(table.epoch_) << 16;
+    return table;
   }
+
+  /// Stores `pos` in slot `h`; returns the position it held in this call,
+  /// or -1 if it held none.
+  std::int64_t exchange(std::uint32_t h, std::size_t pos) {
+    const std::uint32_t old = slots_[h];
+    slots_[h] = tag_ | static_cast<std::uint32_t>(pos);
+    return (old & 0xffff0000u) == tag_ ? static_cast<std::int64_t>(old & 0xffffu)
+                                       : -1;
+  }
+  void put(std::uint32_t h, std::size_t pos) {
+    slots_[h] = tag_ | static_cast<std::uint32_t>(pos);
+  }
+
+ private:
+  TaggedTable() : slots_(std::make_unique<std::uint32_t[]>(kTableSlots)) {}
+
+  std::unique_ptr<std::uint32_t[]> slots_;  // zero: epoch 0 is never current
+  std::uint16_t epoch_ = 0;
+  std::uint32_t tag_ = 0;
+};
+
+/// Match table for inputs above 64 KiB: full positions, cleared per call.
+/// The clear is small next to compressing that much input.
+class WideTable {
+ public:
+  WideTable() : slots_(kTableSlots, -1) {}
+  std::int64_t exchange(std::uint32_t h, std::size_t pos) {
+    return std::exchange(slots_[h], static_cast<std::int64_t>(pos));
+  }
+  void put(std::uint32_t h, std::size_t pos) {
+    slots_[h] = static_cast<std::int64_t>(pos);
+  }
+
+ private:
+  std::vector<std::int64_t> slots_;
+};
+
+template <typename Table>
+void compress_into(Buffer& out, std::span<const std::uint8_t> input,
+                   Table& table) {
   const std::uint8_t* base = input.data();
   const std::size_t n = input.size();
-
-  std::array<std::int64_t, 1 << kHashBits> table;
-  table.fill(-1);
-
   std::size_t pos = 0;
   std::size_t literal_start = 0;
 
@@ -68,26 +152,18 @@ Buffer lz_compress(std::span<const std::uint8_t> input) {
   };
 
   while (n >= kMinMatch && pos + kMinMatch <= n) {
-    std::uint32_t h = hash4(load32(base + pos));
-    std::int64_t cand = table[h];
-    table[h] = static_cast<std::int64_t>(pos);
+    std::int64_t cand = table.exchange(hash4(load32(base + pos)), pos);
     if (cand >= 0 &&
         pos - static_cast<std::size_t>(cand) <= kMaxOffset &&
         load32(base + cand) == load32(base + pos)) {
-      // Extend the match forward.
-      std::size_t match_len = kMinMatch;
-      while (pos + match_len < n &&
-             base[cand + static_cast<std::int64_t>(match_len)] ==
-                 base[pos + match_len]) {
-        ++match_len;
-      }
+      std::size_t match_len =
+          extend_match(base + cand, base + pos, kMinMatch, n - pos);
       std::size_t offset = pos - static_cast<std::size_t>(cand);
       emit(match_len, offset);
       // Index a couple of positions inside the match to keep ratio decent.
       for (std::size_t i = 1; i < match_len && pos + i + kMinMatch <= n;
            i += 2) {
-        table[hash4(load32(base + pos + i))] =
-            static_cast<std::int64_t>(pos + i);
+        table.put(hash4(load32(base + pos + i)), pos + i);
       }
       pos += match_len;
       literal_start = pos;
@@ -97,57 +173,105 @@ Buffer lz_compress(std::span<const std::uint8_t> input) {
   }
   pos = n;
   emit(0, 0);  // trailing literals-only sequence
-  return out;
 }
 
-std::optional<Buffer> lz_decompress(std::span<const std::uint8_t> block) {
+/// Decodes the first min(limit, raw) bytes of `block`.  With limit >= raw it
+/// is the full decode; below that it stops once `limit` bytes exist.
+std::optional<Buffer> decode(std::span<const std::uint8_t> block,
+                             std::size_t limit) {
   if (block.size() < 4) return std::nullopt;
   std::uint32_t raw = 0;
   for (int i = 0; i < 4; ++i) {
     raw |= static_cast<std::uint32_t>(block[static_cast<std::size_t>(i)])
            << (8 * i);
   }
-  Buffer out;
-  out.reserve(raw);
-  std::size_t pos = 4;
+  const std::uint8_t* in = block.data();
   const std::size_t n = block.size();
+  // A header claiming more than the stream can hold is malformed; rejecting
+  // it here also keeps the allocation below bounded by the block's size.
+  if (raw > (n - 4) * kMaxExpansion) return std::nullopt;
+  const std::size_t end = std::min<std::size_t>(raw, limit);
+  Buffer out(end);
+  std::uint8_t* dst = out.data();
+  std::size_t done = 0;  // output bytes produced
+  std::size_t pos = 4;
 
   auto read_ext = [&](std::size_t& len) -> bool {
     while (true) {
       if (pos >= n) return false;
-      std::uint8_t b = block[pos++];
+      std::uint8_t b = in[pos++];
       len += b;
       if (b != 255) return true;
     }
   };
 
-  while (out.size() < raw) {
+  while (done < end) {
     if (pos >= n) return std::nullopt;
-    std::uint8_t token = block[pos++];
+    std::uint8_t token = in[pos++];
     std::size_t lit_len = token >> 4;
     if (lit_len == 15 && !read_ext(lit_len)) return std::nullopt;
     if (pos + lit_len > n) return std::nullopt;
-    out.insert(out.end(), block.begin() + static_cast<std::ptrdiff_t>(pos),
-               block.begin() + static_cast<std::ptrdiff_t>(pos + lit_len));
+    if (done + lit_len >= end) {
+      // The literals reach the end of the output: a full decode must land
+      // exactly on raw (the final literals-only sequence).
+      if (end == raw && done + lit_len != raw) return std::nullopt;
+      std::memcpy(dst + done, in + pos, end - done);
+      return out;
+    }
+    std::memcpy(dst + done, in + pos, lit_len);
+    done += lit_len;
     pos += lit_len;
-    if (out.size() >= raw) break;  // final literals-only sequence
 
     if (pos + 2 > n) return std::nullopt;
-    std::size_t offset = block[pos] | (static_cast<std::size_t>(block[pos + 1]) << 8);
+    std::size_t offset = in[pos] | (static_cast<std::size_t>(in[pos + 1]) << 8);
     pos += 2;
-    if (offset == 0 || offset > out.size()) return std::nullopt;
+    if (offset == 0 || offset > done) return std::nullopt;
     std::size_t match_len = (token & 0xf);
     if (match_len == 15 && !read_ext(match_len)) return std::nullopt;
     match_len += kMinMatch;
-    if (out.size() + match_len > raw) return std::nullopt;
-    // Byte-by-byte copy: overlapping matches (offset < length) are valid.
-    std::size_t src = out.size() - offset;
-    for (std::size_t i = 0; i < match_len; ++i) {
-      out.push_back(out[src + i]);
+    if (done + match_len > raw) return std::nullopt;
+    const std::size_t copy = std::min(match_len, end - done);
+    const std::uint8_t* src = dst + done - offset;
+    if (offset >= copy) {
+      std::memcpy(dst + done, src, copy);
+    } else {
+      // Overlapping match (offset < length): each byte may be one this
+      // match just wrote, so copy forward one byte at a time.
+      for (std::size_t i = 0; i < copy; ++i) dst[done + i] = src[i];
     }
+    done += copy;
   }
-  if (out.size() != raw) return std::nullopt;
   return out;
+}
+
+}  // namespace
+
+Buffer lz_compress(std::span<const std::uint8_t> input) {
+  const std::size_t n = input.size();
+  Buffer out;
+  // The format's worst case (all literals) is n + n/255 + 6 bytes.
+  out.reserve(n + n / 255 + 16);
+  // Header: raw size, little endian.
+  std::uint32_t raw = static_cast<std::uint32_t>(n);
+  for (int i = 0; i < 4; ++i) {
+    out.push_back(static_cast<std::uint8_t>(raw >> (8 * i)));
+  }
+  if (n <= kTaggedMaxInput) {
+    compress_into(out, input, TaggedTable::begin_call());
+  } else {
+    WideTable table;
+    compress_into(out, input, table);
+  }
+  return out;
+}
+
+std::optional<Buffer> lz_decompress(std::span<const std::uint8_t> block) {
+  return decode(block, std::numeric_limits<std::size_t>::max());
+}
+
+std::optional<Buffer> lz_decompress_prefix(std::span<const std::uint8_t> block,
+                                           std::size_t limit) {
+  return decode(block, limit);
 }
 
 }  // namespace psmr::util

@@ -223,6 +223,65 @@ TEST(FsCdep, MatchesPaperSectionVB) {
   EXPECT_FALSE(dep.conflicts(rd_a, wr_b, key));
 }
 
+// The key the scheduler derived before it decoded only a prefix: the whole
+// parameter block decompressed, then the path read from it.
+std::optional<std::uint64_t> full_decode_key(const smr::Command& c) {
+  auto plain = unpack_params(c.params);
+  if (!plain) return std::nullopt;
+  util::Reader r(*plain);
+  return path_key(normalize_path(r.str()));
+}
+
+TEST(FsKeyFn, PrefixDecodeGivesTheFullDecodeKeyForEveryPathLength) {
+  auto key = fs_key_fn();
+  util::Buffer text(1024);
+  util::Buffer same(1024, 0xab);
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    text[i] = static_cast<std::uint8_t>("the quick brown fox "[i % 20]);
+  }
+  // The key function decodes 256 plaintext bytes: a u32 length and up to
+  // 252 bytes of path.  Cover paths well inside, at and past that window.
+  for (std::size_t len : {1, 2, 30, 200, 251, 252, 253, 254, 256, 300, 1000,
+                          3000}) {
+    std::string path = "/";
+    for (std::size_t i = 1; i < len; ++i) {
+      path.push_back(i % 17 == 0 ? '/' : static_cast<char>('a' + i % 26));
+    }
+    for (const auto& c :
+         {make_cmd(kFsWrite, encode_write(path, 0, text)),
+          make_cmd(kFsWrite, encode_write(path, 7, same)),
+          make_cmd(kFsRead, encode_read(path, 0, 1024)),
+          make_cmd(kFsLstat, encode_path(path)),
+          make_cmd(kFsAccess, encode_access(path, 4))}) {
+      auto want = full_decode_key(c);
+      ASSERT_TRUE(want.has_value());
+      EXPECT_EQ(*want, path_key(normalize_path(path)));
+      EXPECT_EQ(key(c), want) << "path length " << len << " cmd " << c.cmd;
+    }
+  }
+}
+
+TEST(FsKeyFn, DamageAfterThePathKeepsThePathKey) {
+  // A header claiming one byte more than the stream holds fails the full
+  // decode, but only after the path: the key stays the path's (the
+  // documented behaviour of fs_key_fn), and execute() answers -EIO.
+  auto key = fs_key_fn();
+  util::Buffer data(1024, 0x5a);
+  util::Buffer block = pack_params(encode_write("/dir/file", 0, data));
+  block[0] = static_cast<std::uint8_t>(block[0] + 1);  // raw size + 1
+  smr::Command c;
+  c.cmd = kFsWrite;
+  c.params = block;
+  EXPECT_FALSE(unpack_params(c.params).has_value());
+  EXPECT_EQ(key(c), path_key("/dir/file"));
+  FsService svc;
+  EXPECT_EQ(decode_result(kFsWrite, svc.execute(c)).err, -EIO);
+
+  // Damage inside the path's own sequence still yields the spread group.
+  c.params = util::Buffer(block.begin(), block.begin() + 8);
+  EXPECT_EQ(key(c), std::nullopt);
+}
+
 TEST(FsCg, NineGroupLayout) {
   auto cg = fs_cg(8);
   // Structural → all 8 worker groups (routed via the shared ring: the

@@ -1,10 +1,12 @@
 // Tests for rng/zipf, histogram, hash/crc, sync primitives and clock.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <thread>
 #include <vector>
 
+#include "test_support.h"
 #include "util/bytes.h"
 #include "util/hash.h"
 #include "util/histogram.h"
@@ -201,6 +203,74 @@ TEST(Crc32, DetectsCorruption) {
   auto good = Crc32::of(data);
   data[50] ^= 1;
   EXPECT_NE(Crc32::of(data), good);
+}
+
+// The original byte-at-a-time CRC32, kept verbatim as the oracle for the
+// slicing-by-8 implementation.
+class SeedCrc32 {
+ public:
+  void update(std::span<const std::uint8_t> data) {
+    for (std::uint8_t b : data) {
+      crc_ = table()[(crc_ ^ b) & 0xff] ^ (crc_ >> 8);
+    }
+  }
+  [[nodiscard]] std::uint32_t value() const { return crc_ ^ 0xffffffffu; }
+
+  static std::uint32_t of(std::span<const std::uint8_t> data) {
+    SeedCrc32 c;
+    c.update(data);
+    return c.value();
+  }
+
+ private:
+  static const std::array<std::uint32_t, 256>& table() {
+    static const std::array<std::uint32_t, 256> t = [] {
+      std::array<std::uint32_t, 256> out{};
+      for (std::uint32_t i = 0; i < 256; ++i) {
+        std::uint32_t c = i;
+        for (int k = 0; k < 8; ++k) {
+          c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+        }
+        out[i] = c;
+      }
+      return out;
+    }();
+    return t;
+  }
+
+  std::uint32_t crc_ = 0xffffffffu;
+};
+
+TEST(Crc32, MatchesByteAtATimeForEveryShortLengthAndAlignment) {
+  SplitMix64 rng(test_support::logged_seed(201));
+  Buffer data(64 + 8);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next());
+  for (std::size_t start = 0; start < 8; ++start) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      std::span<const std::uint8_t> s(data.data() + start, len);
+      ASSERT_EQ(Crc32::of(s), SeedCrc32::of(s))
+          << "start " << start << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32, IncrementalUpdateMatchesOneShotAtRandomSplits) {
+  SplitMix64 rng(test_support::logged_seed(202));
+  for (int iter = 0; iter < 500; ++iter) {
+    Buffer data(rng.next_below(5000));
+    for (auto& b : data) b = static_cast<std::uint8_t>(rng.next());
+    const std::uint32_t want = SeedCrc32::of(data);
+    ASSERT_EQ(Crc32::of(data), want) << "iter " << iter;
+    Crc32 split;
+    std::size_t at = 0;
+    while (at < data.size()) {
+      const std::size_t len = std::min<std::size_t>(
+          data.size() - at, rng.next_below(40));
+      split.update(std::span<const std::uint8_t>(data.data() + at, len));
+      at += len;
+    }
+    ASSERT_EQ(split.value(), want) << "iter " << iter;
+  }
 }
 
 TEST(Signal, CountingSemantics) {
