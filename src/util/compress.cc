@@ -5,8 +5,6 @@
 #include <cstring>
 #include <limits>
 #include <memory>
-#include <utility>
-#include <vector>
 
 namespace psmr::util {
 namespace {
@@ -15,13 +13,9 @@ constexpr std::size_t kMinMatch = 4;
 constexpr std::size_t kMaxOffset = 65535;
 constexpr int kHashBits = 14;
 constexpr std::size_t kTableSlots = std::size_t{1} << kHashBits;
-// Inputs up to this size fit a position in the low 16 bits of a tagged slot.
-constexpr std::size_t kTaggedMaxInput = std::size_t{1} << 16;
-// No stream byte decodes to more than this many output bytes: a literal
-// byte yields one, a 3-byte match header at most 19, and a length-extension
-// byte at most 255.  A block never decodes to more than this times its
-// stream size.
-constexpr std::size_t kMaxExpansion = 255;
+// The decoder allocates an output up to this size on the header's word
+// alone; a larger one only once the stream has been counted.
+constexpr std::size_t kUncheckedOutput = std::size_t{64} << 10;
 
 std::uint32_t load32(const std::uint8_t* p) {
   std::uint32_t v;
@@ -71,20 +65,27 @@ void put_length(Buffer& out, std::size_t len) {
   out.push_back(static_cast<std::uint8_t>(len));
 }
 
-/// Match table for inputs of at most 64 KiB, owned by one thread and reused
-/// by every call on it.  A slot holds (epoch << 16 | position); a slot
-/// tagged with another call's epoch reads as empty, so a call never clears
-/// the table — only the epoch's wrap, once per 65535 calls, does.
-class TaggedTable {
+/// The match table, owned by one thread and reused by every call on it.  A
+/// call stores position p as base + p, and each call's base is past every
+/// value an earlier call stored, so a slot below the base reads as empty and
+/// no call clears the table.  Bases grow by each call's input size; the
+/// table is cleared only when the next base would pass 32 bits, once per
+/// 4 GiB of input on a thread.  A single input that large wraps its stored
+/// positions; a wrapped candidate is still an earlier position, so memory
+/// stays safe and any match it gives is real, though the 32-bit size header
+/// cannot describe such an input anyway.
+class MatchTable {
  public:
-  /// The calling thread's table, advanced to a fresh epoch.
-  static TaggedTable& begin_call() {
-    thread_local TaggedTable table;
-    if (++table.epoch_ == 0) {  // wrapped: old tags would read as current
+  /// The calling thread's table, set up for an input of `n` bytes.
+  static MatchTable& begin_call(std::size_t n) {
+    thread_local MatchTable table;
+    if (n > kMaxSlot - table.next_base_) {
       std::fill_n(table.slots_.get(), kTableSlots, 0u);
-      table.epoch_ = 1;
+      table.next_base_ = 1;  // 0 is an empty slot
     }
-    table.tag_ = static_cast<std::uint32_t>(table.epoch_) << 16;
+    table.base_ = table.next_base_;
+    table.next_base_ += static_cast<std::uint32_t>(
+        std::min<std::size_t>(n, kMaxSlot - table.base_));
     return table;
   }
 
@@ -92,41 +93,25 @@ class TaggedTable {
   /// or -1 if it held none.
   std::int64_t exchange(std::uint32_t h, std::size_t pos) {
     const std::uint32_t old = slots_[h];
-    slots_[h] = tag_ | static_cast<std::uint32_t>(pos);
-    return (old & 0xffff0000u) == tag_ ? static_cast<std::int64_t>(old & 0xffffu)
-                                       : -1;
+    put(h, pos);
+    return old >= base_ ? static_cast<std::int64_t>(old - base_) : -1;
   }
   void put(std::uint32_t h, std::size_t pos) {
-    slots_[h] = tag_ | static_cast<std::uint32_t>(pos);
+    slots_[h] = base_ + static_cast<std::uint32_t>(pos);
   }
 
  private:
-  TaggedTable() : slots_(std::make_unique<std::uint32_t[]>(kTableSlots)) {}
+  static constexpr std::uint32_t kMaxSlot = 0xffffffffu;
 
-  std::unique_ptr<std::uint32_t[]> slots_;  // zero: epoch 0 is never current
-  std::uint16_t epoch_ = 0;
-  std::uint32_t tag_ = 0;
+  MatchTable() : slots_(std::make_unique<std::uint32_t[]>(kTableSlots)) {}
+
+  std::unique_ptr<std::uint32_t[]> slots_;
+  std::uint32_t base_ = 1;
+  std::uint32_t next_base_ = 1;
 };
 
-/// Match table for inputs above 64 KiB: full positions, cleared per call.
-/// The clear is small next to compressing that much input.
-class WideTable {
- public:
-  WideTable() : slots_(kTableSlots, -1) {}
-  std::int64_t exchange(std::uint32_t h, std::size_t pos) {
-    return std::exchange(slots_[h], static_cast<std::int64_t>(pos));
-  }
-  void put(std::uint32_t h, std::size_t pos) {
-    slots_[h] = static_cast<std::int64_t>(pos);
-  }
-
- private:
-  std::vector<std::int64_t> slots_;
-};
-
-template <typename Table>
 void compress_into(Buffer& out, std::span<const std::uint8_t> input,
-                   Table& table) {
+                   MatchTable& table) {
   const std::uint8_t* base = input.data();
   const std::size_t n = input.size();
   std::size_t pos = 0;
@@ -175,24 +160,15 @@ void compress_into(Buffer& out, std::span<const std::uint8_t> input,
   emit(0, 0);  // trailing literals-only sequence
 }
 
-/// Decodes the first min(limit, raw) bytes of `block`.  With limit >= raw it
-/// is the full decode; below that it stops once `limit` bytes exist.
-std::optional<Buffer> decode(std::span<const std::uint8_t> block,
-                             std::size_t limit) {
-  if (block.size() < 4) return std::nullopt;
-  std::uint32_t raw = 0;
-  for (int i = 0; i < 4; ++i) {
-    raw |= static_cast<std::uint32_t>(block[static_cast<std::size_t>(i)])
-           << (8 * i);
-  }
-  const std::uint8_t* in = block.data();
-  const std::size_t n = block.size();
-  // A header claiming more than the stream can hold is malformed; rejecting
-  // it here also keeps the allocation below bounded by the block's size.
-  if (raw > (n - 4) * kMaxExpansion) return std::nullopt;
-  const std::size_t end = std::min<std::size_t>(raw, limit);
-  Buffer out(end);
-  std::uint8_t* dst = out.data();
+/// Walks the sequences of a block's stream (`in`, `n` bytes, header
+/// included) until `end` output bytes exist, making every check of the
+/// format against the header's `raw`; returns false if the block is
+/// malformed.  With kCopy it also writes the output to `dst`, which holds
+/// `end` bytes.  With end == raw this is the full decode; below that it
+/// stops once `end` bytes exist.
+template <bool kCopy>
+bool run_sequences(const std::uint8_t* in, std::size_t n, std::size_t raw,
+                   std::size_t end, std::uint8_t* dst) {
   std::size_t done = 0;  // output bytes produced
   std::size_t pos = 4;
 
@@ -206,40 +182,67 @@ std::optional<Buffer> decode(std::span<const std::uint8_t> block,
   };
 
   while (done < end) {
-    if (pos >= n) return std::nullopt;
+    if (pos >= n) return false;
     std::uint8_t token = in[pos++];
     std::size_t lit_len = token >> 4;
-    if (lit_len == 15 && !read_ext(lit_len)) return std::nullopt;
-    if (pos + lit_len > n) return std::nullopt;
+    if (lit_len == 15 && !read_ext(lit_len)) return false;
+    if (pos + lit_len > n) return false;
     if (done + lit_len >= end) {
       // The literals reach the end of the output: a full decode must land
       // exactly on raw (the final literals-only sequence).
-      if (end == raw && done + lit_len != raw) return std::nullopt;
-      std::memcpy(dst + done, in + pos, end - done);
-      return out;
+      if (end == raw && done + lit_len != raw) return false;
+      if constexpr (kCopy) std::memcpy(dst + done, in + pos, end - done);
+      return true;
     }
-    std::memcpy(dst + done, in + pos, lit_len);
+    if constexpr (kCopy) std::memcpy(dst + done, in + pos, lit_len);
     done += lit_len;
     pos += lit_len;
 
-    if (pos + 2 > n) return std::nullopt;
+    if (pos + 2 > n) return false;
     std::size_t offset = in[pos] | (static_cast<std::size_t>(in[pos + 1]) << 8);
     pos += 2;
-    if (offset == 0 || offset > done) return std::nullopt;
+    if (offset == 0 || offset > done) return false;
     std::size_t match_len = (token & 0xf);
-    if (match_len == 15 && !read_ext(match_len)) return std::nullopt;
+    if (match_len == 15 && !read_ext(match_len)) return false;
     match_len += kMinMatch;
-    if (done + match_len > raw) return std::nullopt;
+    if (done + match_len > raw) return false;
     const std::size_t copy = std::min(match_len, end - done);
-    const std::uint8_t* src = dst + done - offset;
-    if (offset >= copy) {
-      std::memcpy(dst + done, src, copy);
-    } else {
-      // Overlapping match (offset < length): each byte may be one this
-      // match just wrote, so copy forward one byte at a time.
-      for (std::size_t i = 0; i < copy; ++i) dst[done + i] = src[i];
+    if constexpr (kCopy) {
+      const std::uint8_t* src = dst + done - offset;
+      if (offset >= copy) {
+        std::memcpy(dst + done, src, copy);
+      } else {
+        // Overlapping match (offset < length): each byte may be one this
+        // match just wrote, so copy forward one byte at a time.
+        for (std::size_t i = 0; i < copy; ++i) dst[done + i] = src[i];
+      }
     }
     done += copy;
+  }
+  return true;
+}
+
+/// Decodes the first min(limit, raw) bytes of `block`.
+std::optional<Buffer> decode(std::span<const std::uint8_t> block,
+                             std::size_t limit) {
+  if (block.size() < 4) return std::nullopt;
+  std::uint32_t raw = 0;
+  for (int i = 0; i < 4; ++i) {
+    raw |= static_cast<std::uint32_t>(block[static_cast<std::size_t>(i)])
+           << (8 * i);
+  }
+  const std::size_t end = std::min<std::size_t>(raw, limit);
+  // An output larger than kUncheckedOutput is allocated only after a
+  // counting pass, which copies nothing, shows that the stream produces all
+  // of it: a header's claim alone never makes a replica touch more memory
+  // than that.
+  if (end > kUncheckedOutput &&
+      !run_sequences<false>(block.data(), block.size(), raw, end, nullptr)) {
+    return std::nullopt;
+  }
+  Buffer out(end);
+  if (!run_sequences<true>(block.data(), block.size(), raw, end, out.data())) {
+    return std::nullopt;
   }
   return out;
 }
@@ -256,12 +259,7 @@ Buffer lz_compress(std::span<const std::uint8_t> input) {
   for (int i = 0; i < 4; ++i) {
     out.push_back(static_cast<std::uint8_t>(raw >> (8 * i)));
   }
-  if (n <= kTaggedMaxInput) {
-    compress_into(out, input, TaggedTable::begin_call());
-  } else {
-    WideTable table;
-    compress_into(out, input, table);
-  }
+  compress_into(out, input, MatchTable::begin_call(n));
   return out;
 }
 

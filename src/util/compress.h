@@ -15,14 +15,15 @@
 //
 // Cost model: each kernel pays only for the bytes it processes.
 //   * Compress keeps its 16384-slot match table per thread and reuses it:
-//     a slot is tagged with the call that wrote it, so a slot from an
-//     earlier call reads as empty and no call clears the table.  Inputs
-//     above 64 KiB use a fresh table per call.  The output is byte-identical
-//     to clearing the table on every call.
+//     each call stores positions above every value an earlier call stored,
+//     so a slot from an earlier call reads as empty and no call clears the
+//     table.  The output is byte-identical to clearing the table on every
+//     call, for every input the 32-bit size header can describe.
 //   * Decompress sizes its output once and copies literals and
-//     non-overlapping matches in bulk.  It never allocates more than the
-//     block can decode to (at most 255 output bytes per stream byte), so a
-//     header claiming a huge raw size is rejected, not allocated.
+//     non-overlapping matches in bulk.  An output above 64 KiB is allocated
+//     only after a counting pass over the stream shows it produces that
+//     many bytes, so a header claiming a huge raw size is rejected, not
+//     allocated.
 //   * lz_decompress_prefix decodes only the first bytes of a block, for a
 //     caller that needs a leading field (NetFS reads a request's path).
 #pragma once

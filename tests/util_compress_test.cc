@@ -315,10 +315,10 @@ TEST(CompressDifferential, MatchesOriginalCompressor) {
   }
 }
 
-TEST(CompressDifferential, MatchesOriginalAcrossTheTaggedTableLimit) {
-  // Inputs above 64 KiB take the per-call table; the sizes around the limit
-  // and interleaving small and large inputs on one thread must not change a
-  // byte of output.
+TEST(CompressDifferential, MatchesOriginalOnLargeInputs) {
+  // Inputs past 64 KiB, whose match offsets reach the format's limit, and
+  // small and large inputs interleaved on one thread's reused table must
+  // not change a byte of output.
   SplitMix64 rng(test_support::logged_seed(102));
   const std::size_t sizes[] = {65535, 65536, 65537, 70000, 200000, 1000,
                                65536, 3,     1 << 18, 17};
@@ -333,9 +333,10 @@ TEST(CompressDifferential, MatchesOriginalAcrossTheTaggedTableLimit) {
   EXPECT_EQ(lz_compress(run), seed_codec::lz_compress(run));
 }
 
-TEST(CompressDifferential, ReusedTableSurvivesEpochWrap) {
-  // More calls on one thread than the table has epochs: every call must
-  // still see only its own entries.
+TEST(CompressDifferential, ReusedTableSeesOnlyItsOwnCall) {
+  // Many calls on one thread's table, each on a short input whose hashes
+  // hit slots that earlier calls filled: every call must still see only its
+  // own entries.
   SplitMix64 rng(test_support::logged_seed(103));
   std::vector<Buffer> inputs;
   std::vector<Buffer> expected;
@@ -407,6 +408,32 @@ TEST(CompressDifferential, DecoderMatchesOriginalOnDamagedBlocks) {
   }
 }
 
+TEST(CompressDifferential, DecoderMatchesOriginalOnDamagedLargeBlocks) {
+  // Outputs past 64 KiB are counted before they are allocated; that pass
+  // must accept and reject exactly what the original decoder does.
+  SplitMix64 rng(test_support::logged_seed(106));
+  for (int iter = 0; iter < 60; ++iter) {
+    Buffer in = random_input(rng, 60000 + rng.next_below(100000),
+                             1 + rng.next_below(64), true);
+    Buffer block = lz_compress(in);
+    switch (rng.next_below(3)) {
+      case 0: {  // flip a bit outside the header's top byte
+        std::size_t at = rng.next_below(block.size());
+        if (at != 3) {
+          block[at] ^= static_cast<std::uint8_t>(1u << rng.next_below(8));
+        }
+        break;
+      }
+      case 1:  // truncate
+        block.resize(4 + rng.next_below(block.size() - 4 + 1));
+        break;
+      default:  // intact
+        break;
+    }
+    expect_same_decode(block, "damaged large", iter);
+  }
+}
+
 TEST(CompressDifferential, PrefixDecodeIsTheFullDecodesPrefix) {
   SplitMix64 rng(test_support::logged_seed(105));
   for (int iter = 0; iter < 5000; ++iter) {
@@ -450,16 +477,43 @@ TEST(CompressDifferential, PrefixDecodeIgnoresDamageAfterTheLimit) {
   EXPECT_EQ(*prefix, Buffer(in.begin(), in.begin() + 100));
 }
 
+// Caps this process's address space at `bytes`; for a forked child only.
+void cap_address_space(rlim_t bytes) {
+  rlimit cap{};
+  cap.rlim_cur = cap.rlim_max = bytes;
+  if (setrlimit(RLIMIT_AS, &cap) != 0) std::_Exit(2);
+}
+
 // Runs in a forked child: caps the address space at 1 GiB and decodes a
 // 5-byte block whose header claims 4 GiB.  Reserving the claimed size would
 // throw std::bad_alloc; a decoder bounded by the stream returns nullopt.
 [[noreturn]] void decode_huge_header_under_address_cap() {
-  rlimit cap{};
-  cap.rlim_cur = cap.rlim_max = rlim_t{1} << 30;
-  if (setrlimit(RLIMIT_AS, &cap) != 0) std::_Exit(2);
+  cap_address_space(rlim_t{1} << 30);
   const Buffer block = {0xff, 0xff, 0xff, 0xff, 0x00};
   const bool rejected = !lz_decompress(block).has_value() &&
                         !lz_decompress_prefix(block, 16).has_value();
+  std::_Exit(rejected ? 0 : 1);
+}
+
+// Runs in a forked child: a real 4 MiB block whose header claims 255 output
+// bytes per stream byte (about 1 GiB), decoded under a 512 MiB cap.  Its
+// stream is well formed up to where it ends, far short of the claim, so a
+// decoder that sizes its output from the header before reading the stream
+// would touch about 1 GiB; one that counts the stream first returns nullopt.
+[[noreturn]] void decode_inflated_header_under_address_cap() {
+  SplitMix64 rng(7);
+  Buffer in(std::size_t{4} << 20);
+  for (auto& b : in) b = static_cast<std::uint8_t>(rng.next());
+  Buffer block = lz_compress(in);
+  const std::uint32_t claim =
+      static_cast<std::uint32_t>((block.size() - 4) * 255);
+  for (int i = 0; i < 4; ++i) {
+    block[static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(claim >> (8 * i));
+  }
+  cap_address_space(rlim_t{512} << 20);
+  const bool rejected = !lz_decompress(block).has_value() &&
+                        !lz_decompress_prefix(block, claim - 1).has_value();
   std::_Exit(rejected ? 0 : 1);
 }
 
@@ -469,6 +523,16 @@ TEST(CompressDeath, HugeHeaderIsRejectedWithoutAllocating) {
                   "space limit cannot be applied";
 #else
   EXPECT_EXIT(decode_huge_header_under_address_cap(),
+              ::testing::ExitedWithCode(0), "");
+#endif
+}
+
+TEST(CompressDeath, InflatedHeaderIsRejectedWithoutAllocating) {
+#ifdef PSMR_UNDER_SANITIZER
+  GTEST_SKIP() << "sanitizers reserve large shadow ranges, so an address "
+                  "space limit cannot be applied";
+#else
+  EXPECT_EXIT(decode_inflated_header_under_address_cap(),
               ::testing::ExitedWithCode(0), "");
 #endif
 }
