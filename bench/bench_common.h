@@ -1,22 +1,20 @@
 // Shared helpers for the figure benches.
 //
 // Every fig*_ binary regenerates one figure of the paper's evaluation
-// (Section VII).  Default mode drives the calibrated simulator
-// (deterministic, core-count independent); pass --real to run the real
-// in-process runtime instead and print
-// host-measured numbers (this container exposes very few cores, so real
-// numbers show protocol overhead, not 8-way scaling).
+// (Section VII) by running the live in-process runtime on this host and
+// printing what it measured.  The paper's own numbers come from 8-core
+// nodes; README quotes them by citation next to this host's rows.
 //
-// Flags: --real, --quick (shorter sim), --duration-ms N, --clients N.
+// Flags: --quick (shorter runs), --clients N, --json PATH.
 #pragma once
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 
 #include "kvstore/kv_service.h"
-#include "sim/model.h"
 #include "smr/runtime.h"
 #include "util/alloc_hook.h"
 #include "workload/driver.h"
@@ -30,9 +28,7 @@ PSMR_DEFINE_ALLOC_HOOK();
 namespace psmr::bench {
 
 struct Options {
-  bool real = false;
   bool quick = false;
-  double duration_ms = 120;
   int clients_override = 0;
   /// Machine-readable summary path (figures that support it; fig3 writes
   /// the batched-execution perf record here).
@@ -41,32 +37,24 @@ struct Options {
   static Options parse(int argc, char** argv) {
     Options o;
     for (int i = 1; i < argc; ++i) {
-      if (!std::strcmp(argv[i], "--real")) o.real = true;
-      else if (!std::strcmp(argv[i], "--quick")) o.quick = true;
-      else if (!std::strcmp(argv[i], "--duration-ms") && i + 1 < argc)
-        o.duration_ms = std::atof(argv[++i]);
+      if (!std::strcmp(argv[i], "--quick")) o.quick = true;
       else if (!std::strcmp(argv[i], "--clients") && i + 1 < argc)
         o.clients_override = std::atoi(argv[++i]);
       else if (!std::strcmp(argv[i], "--json") && i + 1 < argc)
         o.json = argv[++i];
     }
-    if (o.quick) o.duration_ms = 40;
     return o;
   }
 };
 
-/// Simulator config shared by the KV figures.
-inline sim::SimConfig base_sim(const Options& opt, sim::Tech tech,
-                               int workers, int clients) {
-  sim::SimConfig cfg;
-  cfg.tech = tech;
-  cfg.workers = workers;
-  cfg.clients = opt.clients_override ? opt.clients_override : clients;
-  cfg.window = 50;
-  cfg.warmup_us = opt.duration_ms * 1000.0 / 6.0;
-  cfg.duration_us = opt.duration_ms * 1000.0 + cfg.warmup_us;
-  return cfg;
+/// Prints a figure's title line with the core count its numbers came from.
+inline void print_title(const char* title) {
+  std::printf("=== %s [live runtime, %u cores] ===\n", title,
+              std::thread::hardware_concurrency());
 }
+
+/// Keys preloaded into every KV figure's tree, and the range its clients use.
+inline constexpr std::uint64_t kKeys = 200'000;
 
 /// Real-runtime deployment over the key-value store.
 inline smr::DeploymentConfig real_kv_config(smr::Mode mode, std::size_t mpl,
@@ -93,34 +81,15 @@ inline smr::DeploymentConfig real_kv_config(smr::Mode mode, std::size_t mpl,
   return cfg;
 }
 
-inline smr::Mode to_mode(sim::Tech t) {
-  switch (t) {
-    case sim::Tech::kSmr: return smr::Mode::kSmr;
-    case sim::Tech::kSpsmr: return smr::Mode::kSpsmr;
-    case sim::Tech::kPsmr: return smr::Mode::kPsmr;
-    case sim::Tech::kNoRep: return smr::Mode::kNoRep;
-    case sim::Tech::kLock: return smr::Mode::kLockServer;
-  }
-  return smr::Mode::kSmr;
-}
-
-/// Runs the real runtime with a workload mix and adapts to RunResult-like
-/// fields of SimResult for uniform printing.  `raw`, when given, receives
-/// the full driver result including the replica-side ExecStats; `spool`
-/// receives the deployment's submit spool counters.  `reply_cap` is the
-/// reply spool's response cap (1: one wire message per reply).
-inline sim::SimResult run_real_kv(const Options& opt, sim::Tech tech,
-                                  int workers, const workload::KvMix& mix,
+/// Starts a deployment from `cfg`, drives it with closed-loop clients over
+/// `mix` and returns the driver's measurement.  `spool`, when given,
+/// receives the deployment's submit spool counters.
+inline workload::RunResult run_kv(const Options& opt,
+                                  smr::DeploymentConfig cfg,
+                                  const workload::KvMix& mix,
                                   bool zipf = false,
-                                  std::size_t exec_run_length = 16,
-                                  workload::RunResult* raw = nullptr,
-                                  std::size_t reply_cap =
-                                      smr::ReplyCaps{}.max_responses,
                                   smr::SpoolStats* spool = nullptr) {
-  auto dcfg = real_kv_config(to_mode(tech), static_cast<std::size_t>(workers),
-                             /*keys=*/200'000, exec_run_length,
-                             reply_cap);
-  smr::Deployment d(std::move(dcfg));
+  smr::Deployment d(std::move(cfg));
   d.start();
   workload::KvWorkloadSpec spec;
   spec.clients = opt.clients_override ? opt.clients_override : 4;
@@ -128,19 +97,27 @@ inline sim::SimResult run_real_kv(const Options& opt, sim::Tech tech,
   spec.duration_s = opt.quick ? 0.5 : 1.5;
   spec.warmup_s = 0.3;
   spec.mix = mix;
-  spec.keys = 200'000;
+  spec.keys = kKeys;
   spec.zipf = zipf;
   auto r = workload::run_kv_workload(d, spec);
   if (spool) *spool = d.spool_stats();
   d.stop();
-  if (raw) *raw = r;
-  sim::SimResult out;
-  out.kcps = r.kcps;
-  out.cpu_pct = r.cpu_pct;
-  out.avg_latency_us = r.avg_latency_us;
-  out.latency = r.latency;
-  out.completed = r.completed;
-  return out;
+  return r;
+}
+
+/// run_kv over real_kv_config.  `reply_cap` is the reply spool's response
+/// cap (1: one wire message per reply).
+inline workload::RunResult run_real_kv(const Options& opt, smr::Mode mode,
+                                       int workers, const workload::KvMix& mix,
+                                       bool zipf = false,
+                                       std::size_t exec_run_length = 16,
+                                       std::size_t reply_cap =
+                                           smr::ReplyCaps{}.max_responses,
+                                       smr::SpoolStats* spool = nullptr) {
+  return run_kv(opt,
+                real_kv_config(mode, static_cast<std::size_t>(workers), kKeys,
+                               exec_run_length, reply_cap),
+                mix, zipf, spool);
 }
 
 /// Prints a latency CDF as (value_us, fraction) pairs, decimated.

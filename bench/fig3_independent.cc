@@ -127,19 +127,20 @@ void write_json(const Options& opt) {
   // Full-deployment comparison (replication, Paxos, clients included): the
   // same knob end to end.  On few-core hosts ordering dominates, so this
   // is reported, not gated.
-  workload::RunResult real_seq;
-  workload::RunResult real_batched;
-  smr::SpoolStats spool;
-  run_real_kv(opt, sim::Tech::kSpsmr, 2, workload::KvMix{100, 0, 0, 0},
-              /*zipf=*/false, /*exec_run_length=*/1, &real_seq);
+  const workload::KvMix reads{100, 0, 0, 0};
+  workload::RunResult real_seq =
+      run_real_kv(opt, smr::Mode::kSpsmr, 2, reads, /*zipf=*/false,
+                  /*exec_run_length=*/1);
   // Allocation metering (zero-copy pooled buffers PR): heap traffic across
   // the whole coalesced deployment leg — Paxos, batches, responses, clients
   // — divided by completed commands.  Whole-process, so it includes the
   // workload driver itself; the hot-path-only number is bench_micro_codec's.
+  smr::SpoolStats spool;
   util::allochook::AllocWindow alloc_on;
-  run_real_kv(opt, sim::Tech::kSpsmr, 2, workload::KvMix{100, 0, 0, 0},
-              /*zipf=*/false, /*exec_run_length=*/16, &real_batched,
-              smr::ReplyCaps{}.max_responses, &spool);
+  workload::RunResult real_batched =
+      run_real_kv(opt, smr::Mode::kSpsmr, 2, reads, /*zipf=*/false,
+                  /*exec_run_length=*/16, smr::ReplyCaps{}.max_responses,
+                  &spool);
   const double allocs_per_cmd_on =
       real_batched.completed > 0
           ? static_cast<double>(alloc_on.count()) /
@@ -149,11 +150,10 @@ void write_json(const Options& opt) {
   // Response-path record: the same batched deployment (window 50) with
   // a reply cap of 1 (no coalescing).  real_batched is the coalescing leg.
   std::fprintf(stderr, "fig3: measuring response path (reply cap 1)...\n");
-  workload::RunResult resp_off;
   util::allochook::AllocWindow alloc_off;
-  run_real_kv(opt, sim::Tech::kSpsmr, 2, workload::KvMix{100, 0, 0, 0},
-              /*zipf=*/false, /*exec_run_length=*/16, &resp_off,
-              /*reply_cap=*/1);
+  workload::RunResult resp_off =
+      run_real_kv(opt, smr::Mode::kSpsmr, 2, reads, /*zipf=*/false,
+                  /*exec_run_length=*/16, /*reply_cap=*/1);
   const double allocs_per_cmd_off =
       resp_off.completed > 0 ? static_cast<double>(alloc_off.count()) /
                                    static_cast<double>(resp_off.completed)
@@ -258,57 +258,38 @@ int main(int argc, char** argv) {
     write_json(opt);
     return 0;
   }
-  std::printf("=== Figure 3: independent commands (100%% reads) [%s] ===\n",
-              opt.real ? "real runtime" : "calibrated simulation");
+  print_title("Figure 3: independent commands (100% reads)");
 
   struct Row {
-    sim::Tech tech;
+    smr::Mode mode;
     int workers;
-    int clients;  // scaled to each technique's saturation point
   };
-  // Clients chosen so each technique runs at its peak, mirroring the
-  // paper's methodology of reporting peak throughput per technique.
   const Row rows[] = {
-      {sim::Tech::kNoRep, 2, 70},
-      {sim::Tech::kSmr, 1, 60},
-      {sim::Tech::kSpsmr, 2, 65},
-      {sim::Tech::kPsmr, 8, 190},
-      {sim::Tech::kLock, 6, 7},
+      {smr::Mode::kNoRep, 2},  {smr::Mode::kSmr, 1},
+      {smr::Mode::kSpsmr, 2},  {smr::Mode::kPsmr, 8},
+      {smr::Mode::kLockServer, 6},
   };
 
   double smr_kcps = 0;
-  sim::SimResult results[5];
-  workload::RunResult raw[5];
+  workload::RunResult results[5];
   for (int i = 0; i < 5; ++i) {
-    const auto& row = rows[i];
-    if (opt.real) {
-      results[i] = run_real_kv(opt, row.tech, row.workers,
-                               workload::KvMix{100, 0, 0, 0}, /*zipf=*/false,
-                               /*exec_run_length=*/16, &raw[i]);
-    } else {
-      auto cfg = base_sim(opt, row.tech, row.workers, row.clients);
-      results[i] = sim::simulate(cfg);
-    }
-    if (row.tech == sim::Tech::kSmr) smr_kcps = results[i].kcps;
+    results[i] = run_real_kv(opt, rows[i].mode, rows[i].workers,
+                             workload::KvMix{100, 0, 0, 0});
+    if (rows[i].mode == smr::Mode::kSmr) smr_kcps = results[i].kcps;
   }
 
-  std::printf("%-8s %8s %8s %7s %9s %9s", "tech", "threads", "Kcps", "vsSMR",
-              "CPU(%)", "lat(us)");
-  if (opt.real) std::printf(" %10s %9s", "cmds/batch", "batched%");
-  std::printf("\n");
+  std::printf("%-8s %8s %8s %7s %9s %9s %10s %9s\n", "tech", "threads",
+              "Kcps", "vsSMR", "CPU(%)", "lat(us)", "cmds/batch", "batched%");
   for (int i = 0; i < 5; ++i) {
-    std::printf("%-8s %8d %8.0f %6.2fx %9.0f %9.0f",
-                sim::tech_name(rows[i].tech), rows[i].workers,
-                results[i].kcps, results[i].kcps / smr_kcps,
-                results[i].cpu_pct, results[i].avg_latency_us);
-    if (opt.real) {
-      std::printf(" %10.2f %8.1f%%", raw[i].exec.mean_commands_per_batch(),
-                  100.0 * raw[i].exec.batched_read_share());
-    }
-    std::printf("\n");
+    const auto& r = results[i];
+    std::printf("%-8s %8d %8.0f %6.2fx %9.0f %9.0f %10.2f %8.1f%%\n",
+                smr::mode_name(rows[i].mode), rows[i].workers, r.kcps,
+                r.kcps / smr_kcps, r.cpu_pct, r.avg_latency_us,
+                r.exec.mean_commands_per_batch(),
+                100.0 * r.exec.batched_read_share());
   }
   for (int i = 0; i < 5; ++i) {
-    print_cdf(sim::tech_name(rows[i].tech), results[i].latency);
+    print_cdf(smr::mode_name(rows[i].mode), results[i].latency);
   }
   return 0;
 }

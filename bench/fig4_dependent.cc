@@ -14,47 +14,36 @@ using namespace psmr::bench;
 
 int main(int argc, char** argv) {
   Options opt = Options::parse(argc, argv);
-  std::printf("=== Figure 4: dependent commands (inserts+deletes) [%s] ===\n",
-              opt.real ? "real runtime" : "calibrated simulation");
+  print_title("Figure 4: dependent commands (inserts+deletes)");
 
   struct Row {
-    sim::Tech tech;
+    smr::Mode mode;
     int workers;
-    int clients;
   };
   const Row rows[] = {
-      {sim::Tech::kNoRep, 1, 20},
-      {sim::Tech::kSmr, 1, 60},
-      {sim::Tech::kSpsmr, 1, 20},
-      {sim::Tech::kPsmr, 1, 35},
-      {sim::Tech::kLock, 4, 5},
+      {smr::Mode::kNoRep, 1}, {smr::Mode::kSmr, 1},
+      {smr::Mode::kSpsmr, 1}, {smr::Mode::kPsmr, 1},
+      {smr::Mode::kLockServer, 4},
   };
 
   double smr_kcps = 0;
-  sim::SimResult results[5];
+  workload::RunResult results[5];
   for (int i = 0; i < 5; ++i) {
-    const auto& row = rows[i];
-    if (opt.real) {
-      results[i] = run_real_kv(opt, row.tech, row.workers,
-                               workload::KvMix{0, 0, 50, 50});
-    } else {
-      auto cfg = base_sim(opt, row.tech, row.workers, row.clients);
-      cfg.frac_dependent = 1.0;
-      results[i] = sim::simulate(cfg);
-    }
-    if (row.tech == sim::Tech::kSmr) smr_kcps = results[i].kcps;
+    results[i] = run_real_kv(opt, rows[i].mode, rows[i].workers,
+                             workload::KvMix{0, 0, 50, 50});
+    if (rows[i].mode == smr::Mode::kSmr) smr_kcps = results[i].kcps;
   }
 
   std::printf("%-8s %8s %8s %7s %9s %9s\n", "tech", "threads", "Kcps", "vsSMR",
               "CPU(%)", "lat(us)");
   for (int i = 0; i < 5; ++i) {
+    const auto& r = results[i];
     std::printf("%-8s %8d %8.0f %6.2fx %9.0f %9.0f\n",
-                sim::tech_name(rows[i].tech), rows[i].workers,
-                results[i].kcps, results[i].kcps / smr_kcps,
-                results[i].cpu_pct, results[i].avg_latency_us);
+                smr::mode_name(rows[i].mode), rows[i].workers, r.kcps,
+                r.kcps / smr_kcps, r.cpu_pct, r.avg_latency_us);
   }
   for (int i = 0; i < 5; ++i) {
-    print_cdf(sim::tech_name(rows[i].tech), results[i].latency);
+    print_cdf(smr::mode_name(rows[i].mode), results[i].latency);
   }
   return 0;
 }

@@ -9,9 +9,10 @@
 // throughput (same client window over fewer commands per second... the
 // paper notes the decrease corresponds to the throughput reduction).
 //
-// Ablation: --cg coarse switches the C-G derivation used by the real mode
-// (reads to a random group, updates everywhere) per Section IV-C's first
-// example.
+// Each point runs the live runtime with pct/2 % inserts and pct/2 %
+// deletes; KvMix takes fractional percents, so 0.001% is really 0.001%.
+#include <cmath>
+
 #include "bench_common.h"
 
 using namespace psmr;
@@ -19,8 +20,7 @@ using namespace psmr::bench;
 
 int main(int argc, char** argv) {
   Options opt = Options::parse(argc, argv);
-  std::printf("=== Figure 6: mixed workloads, P-SMR vs SMR [%s] ===\n",
-              opt.real ? "real runtime" : "calibrated simulation");
+  print_title("Figure 6: mixed workloads, P-SMR vs SMR");
 
   const double percents[] = {0.001, 0.01, 0.1, 1.0, 5.0, 10.0};
 
@@ -29,20 +29,9 @@ int main(int argc, char** argv) {
   double breakeven = -1;
   double prev_pct = 0, prev_diff = 0;
   for (double pct : percents) {
-    sim::SimResult psmr_r, smr_r;
-    if (opt.real) {
-      int dep_half = static_cast<int>(pct) / 2;
-      workload::KvMix mix{100 - 2 * dep_half, 0, dep_half, dep_half};
-      psmr_r = run_real_kv(opt, sim::Tech::kPsmr, 8, mix);
-      smr_r = run_real_kv(opt, sim::Tech::kSmr, 1, mix);
-    } else {
-      auto pc = base_sim(opt, sim::Tech::kPsmr, 8, 150);
-      pc.frac_dependent = pct / 100.0;
-      psmr_r = sim::simulate(pc);
-      auto sc = base_sim(opt, sim::Tech::kSmr, 1, 60);
-      sc.frac_dependent = pct / 100.0;
-      smr_r = sim::simulate(sc);
-    }
+    const workload::KvMix mix{100 - pct, 0, pct / 2, pct / 2};
+    auto psmr_r = run_real_kv(opt, smr::Mode::kPsmr, 8, mix);
+    auto smr_r = run_real_kv(opt, smr::Mode::kSmr, 1, mix);
     std::printf("%-10.3f %12.0f %12.0f %14.0f %14.0f\n", pct, psmr_r.kcps,
                 smr_r.kcps, psmr_r.avg_latency_us, smr_r.avg_latency_us);
     double diff = psmr_r.kcps - smr_r.kcps;

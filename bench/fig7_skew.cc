@@ -8,6 +8,9 @@
 // and with 1-2 threads its *Zipfian* throughput beats its uniform one,
 // because hot keys stay cached at the processor.  P-SMR scales better than
 // sP-SMR under both distributions (per-thread normalized plot).
+//
+// Every series uses the keyed C-G.  The load-aware C-G of Section IV-D
+// (smr::HotAwareCg, hot keys pinned to distinct groups) has no series here.
 #include "bench_common.h"
 
 using namespace psmr;
@@ -15,38 +18,28 @@ using namespace psmr::bench;
 
 int main(int argc, char** argv) {
   Options opt = Options::parse(argc, argv);
-  std::printf("=== Figure 7: skewed workloads (50%% updates / 50%% reads) "
-              "[%s] ===\n",
-              opt.real ? "real runtime" : "calibrated simulation");
+  print_title("Figure 7: skewed workloads (50% updates / 50% reads)");
 
   const int thread_counts[] = {1, 2, 4, 6, 8};
   struct Series {
-    sim::Tech tech;
+    smr::Mode mode;
     bool zipf;
     const char* label;
   };
   const Series series[] = {
-      {sim::Tech::kPsmr, false, "P-SMR:uniform"},
-      {sim::Tech::kPsmr, true, "P-SMR:zipf"},
-      {sim::Tech::kSpsmr, false, "sP-SMR:uniform"},
-      {sim::Tech::kSpsmr, true, "sP-SMR:zipf"},
+      {smr::Mode::kPsmr, false, "P-SMR:uniform"},
+      {smr::Mode::kPsmr, true, "P-SMR:zipf"},
+      {smr::Mode::kSpsmr, false, "sP-SMR:uniform"},
+      {smr::Mode::kSpsmr, true, "sP-SMR:zipf"},
   };
 
   double abs_kcps[4][5];
   for (int wi = 0; wi < 5; ++wi) {
     for (int si = 0; si < 4; ++si) {
-      sim::SimResult r;
-      if (opt.real) {
-        r = run_real_kv(opt, series[si].tech, thread_counts[wi],
-                        workload::KvMix{50, 50, 0, 0}, series[si].zipf);
-      } else {
-        auto cfg = base_sim(opt, series[si].tech, thread_counts[wi],
-                            30 * thread_counts[wi]);
-        cfg.zipf = series[si].zipf;
-        cfg.keys = 10'000'000;
-        r = sim::simulate(cfg);
-      }
-      abs_kcps[si][wi] = r.kcps;
+      abs_kcps[si][wi] =
+          run_real_kv(opt, series[si].mode, thread_counts[wi],
+                      workload::KvMix{50, 50, 0, 0}, series[si].zipf)
+              .kcps;
     }
   }
 
@@ -69,24 +62,6 @@ int main(int argc, char** argv) {
                   abs_kcps[si][wi] / thread_counts[wi] / abs_kcps[si][0]);
     }
     std::printf("\n");
-  }
-
-  if (!opt.real) {
-    // Extension (paper Section IV-D): a load-aware C-G that pins the
-    // known-hot objects round-robin across groups recovers most of the
-    // skew-induced loss at 8 threads.
-    auto base = base_sim(opt, sim::Tech::kPsmr, 8, 240);
-    base.zipf = true;
-    base.keys = 10'000'000;
-    auto naive = sim::simulate(base);
-    base.hot_aware = 64;
-    auto aware = sim::simulate(base);
-    std::printf("--- extension: load-aware C-G (64 hottest keys pinned, "
-                "P-SMR 8 threads) ---\n");
-    std::printf("zipf naive C-G:      %7.0f Kcps (busiest worker %.0f%%)\n",
-                naive.kcps, 100 * naive.max_worker_share);
-    std::printf("zipf load-aware C-G: %7.0f Kcps (busiest worker %.0f%%)\n",
-                aware.kcps, 100 * aware.max_worker_share);
   }
   return 0;
 }

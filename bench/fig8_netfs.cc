@@ -16,12 +16,12 @@ using namespace psmr::bench;
 
 namespace {
 
-// Real-mode NetFS run: closed-loop clients doing 1 KB reads or writes over
-// a preloaded set of files.
-sim::SimResult run_real_fs(const Options& opt, sim::Tech tech, int workers,
-                           bool reads) {
+// Live NetFS run: closed-loop clients doing 1 KB reads or writes over a
+// preloaded set of files.
+workload::RunResult run_real_fs(const Options& opt, smr::Mode mode,
+                                int workers, bool reads) {
   smr::DeploymentConfig dcfg;
-  dcfg.mode = to_mode(tech);
+  dcfg.mode = mode;
   dcfg.mpl = static_cast<std::size_t>(workers);
   dcfg.replicas = 2;
   dcfg.ring.batch_timeout = std::chrono::microseconds(500);
@@ -78,7 +78,7 @@ sim::SimResult run_real_fs(const Options& opt, sim::Tech tech, int workers,
   double elapsed = static_cast<double>(util::now_us() - t0) / 1e6;
   d.stop();
 
-  sim::SimResult out;
+  workload::RunResult out;
   out.completed = completed.load();
   out.kcps = static_cast<double>(out.completed) / elapsed / 1e3;
   out.latency = latency;
@@ -90,33 +90,20 @@ sim::SimResult run_real_fs(const Options& opt, sim::Tech tech, int workers,
 
 int main(int argc, char** argv) {
   Options opt = Options::parse(argc, argv);
-  std::printf("=== Figure 8: NetFS 1KB reads and writes [%s] ===\n",
-              opt.real ? "real runtime" : "calibrated simulation");
+  print_title("Figure 8: NetFS 1KB reads and writes");
 
-  const sim::Tech techs[] = {sim::Tech::kSmr, sim::Tech::kSpsmr,
-                             sim::Tech::kPsmr};
+  const smr::Mode modes[] = {smr::Mode::kSmr, smr::Mode::kSpsmr,
+                             smr::Mode::kPsmr};
   std::printf("%-8s %9s %9s %8s %12s %12s\n", "tech", "readKcps", "writeKcps",
               "vsSMR(r)", "read lat(us)", "write lat(us)");
   double smr_reads = 0;
-  for (auto tech : techs) {
-    int workers = tech == sim::Tech::kSmr ? 1 : 8;
-    sim::SimResult rd, wr;
-    if (opt.real) {
-      rd = run_real_fs(opt, tech, workers, /*reads=*/true);
-      wr = run_real_fs(opt, tech, workers, /*reads=*/false);
-    } else {
-      auto rc = base_sim(opt, tech, workers,
-                         tech == sim::Tech::kPsmr ? 50 : 16);
-      rc.netfs = true;
-      rc.netfs_reads = true;
-      rd = sim::simulate(rc);
-      auto wc = rc;
-      wc.netfs_reads = false;
-      wr = sim::simulate(wc);
-    }
-    if (tech == sim::Tech::kSmr) smr_reads = rd.kcps;
+  for (auto mode : modes) {
+    int workers = mode == smr::Mode::kSmr ? 1 : 8;
+    auto rd = run_real_fs(opt, mode, workers, /*reads=*/true);
+    auto wr = run_real_fs(opt, mode, workers, /*reads=*/false);
+    if (mode == smr::Mode::kSmr) smr_reads = rd.kcps;
     std::printf("%-8s %9.0f %9.0f %7.2fx %12.0f %12.0f\n",
-                sim::tech_name(tech), rd.kcps, wr.kcps, rd.kcps / smr_reads,
+                smr::mode_name(mode), rd.kcps, wr.kcps, rd.kcps / smr_reads,
                 rd.avg_latency_us, wr.avg_latency_us);
   }
   return 0;

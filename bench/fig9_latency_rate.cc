@@ -64,10 +64,9 @@ int main(int argc, char** argv) {
   std::printf(
       "=== Latency/goodput vs offered rate (fig3 mix, open loop, live "
       "P-SMR mpl 4) ===\n");
-  workload::RunResult base_run;
-  run_real_kv(opt, sim::Tech::kPsmr, 4, workload::KvMix{100, 0, 0, 0},
-              false, 16, &base_run);
-  const double host_kcps = base_run.kcps;
+  const double host_kcps =
+      run_real_kv(opt, smr::Mode::kPsmr, 4, workload::KvMix{100, 0, 0, 0})
+          .kcps;
   std::printf("host closed-loop capacity %.1f Kcps\n", host_kcps);
   std::printf("%9s | %8s %8s %7s %6s | %8s %9s %9s\n", "offered",
               "offered#", "submit#", "shed_v", "failed", "goodput", "p50us",

@@ -1,7 +1,6 @@
 // Micro-benchmarks for the cache-conscious B+-tree execution engine
-// (kvstore/btree_core.h) — the replica hot path that sets the calibrated
-// per-command execution cost in sim/calibration.h (paper Section VII-F:
-// most of the ~1.2us/command is the B+-tree traversal).
+// (kvstore/btree_core.h) — the replica hot path whose traversal is most of
+// the paper's ~1.2us per-command execution cost (Section VII-F).
 //
 // `BaselineTree` below replicates the seed (pre-PR 3) layout exactly —
 // fanout 64, interleaved-array nodes, std::upper_bound descent, no

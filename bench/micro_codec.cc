@@ -5,8 +5,7 @@
 //     multicast batch carries.  The printed compress_vs_decompress ratio is
 //     the live codec's cost asymmetry; it must stay above 1, since the paper
 //     explains Figure 8's read-vs-write latency difference by compression
-//     being the slower side.  (The simulator's NetFS constants in
-//     sim/calibration.h are model inputs, not this measurement.)
+//     being the slower side.
 //
 //  2. Allocation metering for the zero-copy buffer pool — the acceptance
 //     measurement of the pooled-message-buffer PR.  Two legs push the same

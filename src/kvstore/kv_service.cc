@@ -36,6 +36,16 @@ std::uint64_t decode_key(std::span<const std::uint8_t> params) {
   return r.u64();
 }
 
+bool decode_keys(std::span<const std::uint8_t> params,
+                 std::vector<std::uint64_t>& out) {
+  util::Reader r(params);
+  if (r.remaining() < 4) return false;
+  const std::uint32_t n = r.u32();
+  if (n > r.remaining() / 8) return false;
+  for (std::uint32_t i = 0; i < n; ++i) out.push_back(r.u64());
+  return true;
+}
+
 util::Buffer encode_result(KvResult res) {
   // Reserved to the exact size: one allocation per result, not one per
   // vector growth.
@@ -83,9 +93,12 @@ KvMultiResult decode_multi_result(const util::Buffer& payload) {
 
 namespace {
 
-// Shared command interpreter over any tree with the same micro-API.
+// Shared command interpreter over any tree with the same micro-API.  Every
+// command decodes all of its parameters before it touches the tree, so a
+// short block fails before any state changes and is answered with
+// kKvBadParams.
 template <typename Tree>
-util::Buffer run_command(Tree& tree, const smr::Command& cmd) {
+util::Buffer run_command(Tree& tree, const smr::Command& cmd) try {
   util::Reader r(cmd.params);
   KvResult res;
   switch (cmd.cmd) {
@@ -130,9 +143,12 @@ util::Buffer run_command(Tree& tree, const smr::Command& cmd) {
       break;
     }
     case kKvMultiRead: {
-      std::uint32_t n = r.u32();
-      std::vector<std::uint64_t> keys(n);
-      for (auto& k : keys) k = r.u64();
+      std::vector<std::uint64_t> keys;
+      if (!decode_keys(cmd.params, keys)) {
+        res.status = kKvBadParams;
+        break;
+      }
+      const auto n = static_cast<std::uint32_t>(keys.size());
       KvMultiResult multi;
       multi.entries.resize(n);
       if constexpr (requires(std::optional<std::uint64_t>* out) {
@@ -163,6 +179,8 @@ util::Buffer run_command(Tree& tree, const smr::Command& cmd) {
       res.status = kKvNotFound;
   }
   return encode_result(res);
+} catch (const util::DecodeError&) {
+  return encode_result({kKvBadParams, 0});
 }
 
 template <typename Tree>
@@ -249,17 +267,16 @@ void KvService::do_execute_batch(smr::CommandBatch& batch) {
   };
   std::vector<std::uint64_t> keys;
   std::vector<Lane> lanes;
+  // A malformed read joins no lane: run_command answers it.
   for (std::size_t i = 0; i < cmds.size(); ++i) {
     const smr::Command& c = cmds[i];
-    if (c.cmd == kKvRead) {
+    const std::size_t first = keys.size();
+    if (c.cmd == kKvRead && c.params.size() >= 8) {
       keys.push_back(decode_key(c.params));
-      lanes.push_back({i, keys.size() - 1, 1});
-    } else if (c.cmd == kKvMultiRead) {
-      util::Reader r(c.params);
-      std::uint32_t n = r.u32();
-      std::size_t first = keys.size();
-      for (std::uint32_t j = 0; j < n; ++j) keys.push_back(r.u64());
-      lanes.push_back({i, first, n});
+      lanes.push_back({i, first, 1});
+    } else if (c.cmd == kKvMultiRead && decode_keys(c.params, keys)) {
+      lanes.push_back(
+          {i, first, static_cast<std::uint32_t>(keys.size() - first)});
     } else {
       batch.sink->accept(i, run_command(tree_, c));
     }
@@ -341,6 +358,7 @@ smr::KeyFn kv_key_fn() {
       case kKvDelete:
       case kKvRead:
       case kKvUpdate:
+        if (cmd.params.size() < 8) return std::nullopt;
         return decode_key(cmd.params);
       default:
         return std::nullopt;  // scan/multi-read carry no single key
@@ -366,17 +384,17 @@ std::shared_ptr<const smr::CGFunction> kv_sharded_cg(
   // the same ShardMap) to a shard the read covers.
   smr::RangeFn scan_range = [](const smr::Command& cmd)
       -> std::optional<std::pair<std::uint64_t, std::uint64_t>> {
-    if (cmd.cmd != kKvScan) return std::nullopt;
+    if (cmd.cmd != kKvScan || cmd.params.size() < 16) return std::nullopt;
     util::Reader r(cmd.params);
     std::uint64_t lo = r.u64();
     return std::make_pair(lo, r.u64());
   };
   smr::KeyListFn multiread_keys = [](const smr::Command& cmd)
       -> std::optional<std::vector<std::uint64_t>> {
-    if (cmd.cmd != kKvMultiRead) return std::nullopt;
-    util::Reader r(cmd.params);
-    std::vector<std::uint64_t> keys(r.u32());
-    for (auto& k : keys) k = r.u64();
+    std::vector<std::uint64_t> keys;
+    if (cmd.cmd != kKvMultiRead || !decode_keys(cmd.params, keys)) {
+      return std::nullopt;
+    }
     return keys;
   };
   return std::make_shared<smr::ShardedCg>(

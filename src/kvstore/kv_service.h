@@ -49,6 +49,7 @@ enum KvStatus : std::uint8_t {
   kKvOk = 0,
   kKvExists = 1,    // insert of a present key
   kKvNotFound = 2,  // read/update/delete of a missing key
+  kKvBadParams = 3,  // parameter block too short for its command
 };
 
 // --- Parameter / response marshaling (client proxy & server proxy) ---
@@ -61,6 +62,11 @@ util::Buffer encode_key_range(std::uint64_t lo, std::uint64_t hi);
 util::Buffer encode_keys(const std::vector<std::uint64_t>& keys);
 /// Reads the key parameter of any single-key KV command.
 std::uint64_t decode_key(std::span<const std::uint8_t> params);
+/// Appends a multi-read's key list to `out`.  Returns false, leaving `out`
+/// as it was, when the block is short or its count exceeds the keys it
+/// holds; the count is checked before anything is sized by it.
+bool decode_keys(std::span<const std::uint8_t> params,
+                 std::vector<std::uint64_t>& out);
 
 struct KvResult {
   KvStatus status = kKvOk;
@@ -141,7 +147,8 @@ class ConcurrentKvService : public smr::Service {
 /// The paper's C-Dep for this service.
 smr::CDep kv_cdep();
 
-/// Key extractor for same-key dependency checks and the keyed C-G.
+/// Key extractor for same-key dependency checks and the keyed C-G; nullopt
+/// for a parameter block too short to hold a key.
 smr::KeyFn kv_key_fn();
 
 /// Keyed C-G (paper's second example): read/update → group (key mod k);

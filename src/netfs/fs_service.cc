@@ -118,7 +118,10 @@ FsResult decode_result(smr::CommandId cmd, const util::Buffer& payload) {
   return res;
 }
 
-util::Buffer FsService::execute(const smr::Command& cmd) {
+// Every command decodes all of its parameters before it touches fs_, so a
+// plaintext too short for its command changes nothing and is answered with
+// -EIO, like a block that does not decompress.
+util::Buffer FsService::execute(const smr::Command& cmd) try {
   util::Writer out;
   // Read reserves its exact size once its data length is known.
   if (cmd.cmd != kFsRead) out.reserve(kFixedResultBytes);
@@ -221,6 +224,10 @@ util::Buffer FsService::execute(const smr::Command& cmd) {
       out.i64(-ENOSYS);
   }
   return util::lz_compress(out.view());
+} catch (const util::DecodeError&) {
+  util::Writer out;
+  out.i64(-EIO);
+  return util::lz_compress(out.view());
 }
 
 smr::CDep fs_cdep() {
@@ -256,7 +263,11 @@ smr::KeyFn fs_key_fn() {
         }
         if (!plain) return std::nullopt;
         util::Reader r(*plain);
-        return path_key(normalize_path(r.str()));
+        try {
+          return path_key(normalize_path(r.str()));
+        } catch (const util::DecodeError&) {
+          return std::nullopt;  // too short to hold its path
+        }
       }
       default:
         return std::nullopt;  // structural commands are global anyway

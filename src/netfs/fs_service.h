@@ -108,9 +108,9 @@ smr::CDep fs_cdep();
 /// decodes the whole block only when the path runs past that prefix.
 ///
 /// For every block that decompresses, the key is that of its path.  A
-/// malformed block yields nullopt (the spread group) if the damage lies in
-/// or before the path; damage only after the path still yields the path's
-/// key.  Routing stays deterministic either way, since clients and every
+/// malformed block, or a plaintext too short to hold its path, yields
+/// nullopt (the spread group) if the damage lies in or before the path;
+/// damage only after the path still yields the path's key.  Routing stays deterministic either way, since clients and every
 /// replica run this same function, and execute() answers such a block
 /// with -EIO.
 smr::KeyFn fs_key_fn();

@@ -1,8 +1,8 @@
 // Deterministic pseudo-random number generation and workload distributions.
 //
-// SplitMix64 is the seed-robust generator used throughout tests, workload
-// generators and the simulator (we avoid std::mt19937 for speed and for a
-// stable cross-platform sequence).  Zipf implements the skewed key selection
+// SplitMix64 is the seed-robust generator used throughout tests and
+// workload generators (we avoid std::mt19937 for speed and for a stable
+// cross-platform sequence).  Zipf implements the skewed key selection
 // of the paper's Section VII-G (exponent 1) using rejection-inversion
 // sampling (W. Hörmann & G. Derflinger), which is O(1) per sample even for
 // the paper's 10-million-key space.

@@ -57,22 +57,22 @@ void client_loop(smr::Deployment& deployment, const KvWorkloadSpec& spec,
     return spec.zipf ? zipf.sample(rng) : rng.next_below(spec.keys);
   };
   auto submit_one = [&]() -> std::optional<smr::Seq> {
-    int roll = static_cast<int>(rng.next_below(100));
+    const double roll = rng.next_double() * 100;
     std::uint64_t k = pick_key();
-    if (roll < spec.mix.read_pct) {
-      return proxy->submit(kvstore::kKvRead, kvstore::encode_key(k));
-    }
-    if (roll < spec.mix.read_pct + spec.mix.update_pct) {
-      return proxy->submit(kvstore::kKvUpdate,
-                           kvstore::encode_key_value(k, rng.next()));
-    }
-    if (roll <
-        spec.mix.read_pct + spec.mix.update_pct + spec.mix.insert_pct) {
-      // Inserts target a disjoint upper range so deletes can find them.
-      return proxy->submit(
-          kvstore::kKvInsert,
-          kvstore::encode_key_value(spec.keys + rng.next_below(spec.keys),
-                                    rng.next()));
+    switch (detail::pick_op(spec.mix, roll)) {
+      case detail::KvOp::kRead:
+        return proxy->submit(kvstore::kKvRead, kvstore::encode_key(k));
+      case detail::KvOp::kUpdate:
+        return proxy->submit(kvstore::kKvUpdate,
+                             kvstore::encode_key_value(k, rng.next()));
+      case detail::KvOp::kInsert:
+        // Inserts target a disjoint upper range so deletes can find them.
+        return proxy->submit(
+            kvstore::kKvInsert,
+            kvstore::encode_key_value(spec.keys + rng.next_below(spec.keys),
+                                      rng.next()));
+      case detail::KvOp::kDelete:
+        break;
     }
     return proxy->submit(
         kvstore::kKvDelete,

@@ -11,11 +11,8 @@
 // curves are measurable: offered rate is held constant and queueing delay
 // appears as latency rather than throttling the load.
 //
-// Note: on this host the entire system (clients, Paxos, replicas) shares
-// very few cores, so real-mode numbers measure protocol overhead rather
-// than the paper's 8-core scaling — the figure benches default to the
-// calibrated simulator (sim/model.h) and offer --real for these
-// measurements.
+// Clients, Paxos and replicas all run in this one process, so the numbers
+// are bounded by the host's core count, not by the paper's 8-core nodes.
 #pragma once
 
 #include <cstdint>
@@ -25,12 +22,13 @@
 
 namespace psmr::workload {
 
-/// Key-value operation mix in percent (must sum to 100).
+/// Key-value operation mix in percent (must sum to 100).  Percents may be
+/// fractional: Figure 6 runs 0.0005% inserts.
 struct KvMix {
-  int read_pct = 100;
-  int update_pct = 0;
-  int insert_pct = 0;
-  int delete_pct = 0;
+  double read_pct = 100;
+  double update_pct = 0;
+  double insert_pct = 0;
+  double delete_pct = 0;
 };
 
 struct KvWorkloadSpec {
@@ -108,6 +106,17 @@ namespace detail {
                                              std::int64_t until_us) {
   return from_us != 0 && now_us >= from_us &&
          (until_us == 0 || now_us < until_us);
+}
+
+enum class KvOp : std::uint8_t { kRead, kUpdate, kInsert, kDelete };
+
+/// The operation that `roll`, drawn uniformly from [0, 100), selects under
+/// `mix`: each operation owns a slice of the range as wide as its percent.
+[[nodiscard]] inline KvOp pick_op(const KvMix& mix, double roll) {
+  if ((roll -= mix.read_pct) < 0) return KvOp::kRead;
+  if ((roll -= mix.update_pct) < 0) return KvOp::kUpdate;
+  if ((roll -= mix.insert_pct) < 0) return KvOp::kInsert;
+  return KvOp::kDelete;
 }
 
 }  // namespace detail

@@ -191,6 +191,26 @@ TEST(WorkloadDriver, MeasuredWindowHasBothBounds) {
   EXPECT_FALSE(in_measured_window(1'000'000'000'000, 100, 200));  // drain
 }
 
+TEST(WorkloadDriver, FractionalMixYieldsItsShare) {
+  // Regression: KvMix was integer percent, so Figure 6's sub-1% points ran
+  // no dependent commands at all.  A 0.5% insert mix must yield inserts at
+  // that rate and none of the operations it leaves out.
+  using detail::KvOp;
+  using detail::pick_op;
+  const KvMix mix{99.5, 0, 0.5, 0};
+  EXPECT_EQ(pick_op(mix, 99.49), KvOp::kRead);
+  EXPECT_EQ(pick_op(mix, 99.5), KvOp::kInsert);
+  EXPECT_EQ(pick_op(mix, 99.99), KvOp::kInsert);
+
+  util::SplitMix64 rng(test_support::test_seed(42));
+  constexpr int kRolls = 200'000;
+  std::map<KvOp, int> n;
+  for (int i = 0; i < kRolls; ++i) ++n[pick_op(mix, rng.next_double() * 100)];
+  // 1000 expected; the bound is about six standard deviations.
+  EXPECT_NEAR(n[KvOp::kInsert], kRolls * 0.005, 200);
+  EXPECT_EQ(n[KvOp::kRead] + n[KvOp::kInsert], kRolls);
+}
+
 TEST(WorkloadDriver, MeasuredCompletionsRespectTheWindowEnd) {
   // End-to-end version of the regression: the measured completion count
   // must be consistent with the measured interval's length, not with the
